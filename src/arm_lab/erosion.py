@@ -11,6 +11,7 @@ padding contributes zero mass.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .arrange import ShuffleSpec
-from .errors import ConfigError, GeometryError, KernelTooLargeError
+from .errors import ConfigError, GeometryError, KernelTooLargeError, TrainingDiverged
 from .tensor import ConvGeometry
 
 
@@ -148,10 +149,11 @@ def k_sweep(
 
     Each run replaces global average pooling with a stride-1 shared
     single-channel convolution of the given kernel size and an adaptive
-    classifier layer; returns a list of per-k result dicts. Failures are
-    recorded per k and the sweep continues. ARM_LAB_THREADS (default 1) caps
-    how many kernel sizes train concurrently; results are ordered by input
-    position either way.
+    classifier layer; returns a list of per-k result dicts. Geometry, config
+    and divergence failures are recorded per k and the sweep continues; any
+    other exception propagates. ARM_LAB_THREADS (default 1) caps how many
+    kernel sizes train concurrently, on worker threads reused across calls;
+    results are ordered by input position either way.
     """
     from .train import train_sweep_point
 
@@ -161,15 +163,35 @@ def k_sweep(
                 index, k, base_config, out_channels, downsampling_blocks
             )
             return {"k": k, "wa": result["wa"], "ua": result["ua"], "error": ""}
-        except Exception as exc:  # per-k failures surface without killing the sweep
+        # typed per-k failures become rows; any other exception is a bug and propagates
+        except (GeometryError, ConfigError, TrainingDiverged) as exc:
             return {"k": k, "wa": float("nan"), "ua": float("nan"), "error": str(exc)}
 
     ks = [int(k) for k in k_values]
     workers = sweep_worker_count()
     if workers <= 1:
         return [run_one(k) for k in ks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, ks))
+    return list(_sweep_pool(workers).map(run_one, ks))
+
+
+_SWEEP_POOLS: dict[int, ThreadPoolExecutor] = {}
+_SWEEP_POOLS_LOCK = threading.Lock()
+
+
+def _sweep_pool(workers: int) -> ThreadPoolExecutor:
+    """The process's k_sweep pool for a worker count, created on first use.
+
+    Its threads outlive each sweep on purpose. With a pool per call, a new
+    worker that started while the previous call's workers were still
+    exiting got a fresh malloc arena, so resident memory grew by a whole
+    training run's working set at random points of repeated sweeps.
+    """
+    with _SWEEP_POOLS_LOCK:
+        pool = _SWEEP_POOLS.get(workers)
+        if pool is None:
+            pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="k_sweep")
+            _SWEEP_POOLS[workers] = pool
+        return pool
 
 
 def sweep_worker_count() -> int:

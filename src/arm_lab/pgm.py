@@ -40,7 +40,10 @@ def read_pgm(path) -> np.ndarray:
             pos += 1
         if start == pos:
             raise DataError(f"{path}: truncated header")
-        fields.append(int(raw[start:pos]))
+        token = raw[start:pos]
+        if not token.isdigit():
+            raise DataError(f"{path}: header field {token!r} is not a non-negative integer")
+        fields.append(int(token))
     pos += 1  # single whitespace byte after maxval
     width, height, maxval = fields
     if maxval != 255:

@@ -7,6 +7,7 @@ is rounded back to storage precision.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -97,6 +98,8 @@ def load_tensor(path) -> Tensor:
         raw = fh.read()
     if raw[:4] != TEN_MAGIC:
         raise DataError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 6:
+        raise DataError(f"{path}: truncated header ({len(raw)} bytes)")
     version, rank = struct.unpack_from("<BB", raw, 4)
     if version != TEN_VERSION:
         raise DataError(f"{path}: unsupported version {version}")
@@ -105,10 +108,12 @@ def load_tensor(path) -> Tensor:
     offset = 6
     shape = []
     for _ in range(rank):
+        if len(raw) < offset + 4:
+            raise DataError(f"{path}: truncated header ({len(raw)} bytes for rank {rank})")
         (extent,) = struct.unpack_from("<I", raw, offset)
         shape.append(extent)
         offset += 4
-    count = int(np.prod(shape)) if shape else 1
+    count = math.prod(shape)  # exact: an int64 product of four extents can wrap
     if len(raw) < offset + 4 * count:
         raise DataError(
             f"{path}: truncated payload ({len(raw) - offset} bytes for {count} values)"
@@ -198,65 +203,60 @@ def _window_view(padded: np.ndarray, k: int, s: int, out_h: int, out_w: int) -> 
     return win[:, :, ::s, ::s][:, :, :out_h, :out_w]
 
 
+def _im2col(x: Tensor, geom: ConvGeometry, out_h: int, out_w: int) -> np.ndarray:
+    """Float64 (N*out_h*out_w, C*k*k) matrix whose rows are the padded input's windows."""
+    n, c = x.shape[:2]
+    k = geom.kernel
+    win = _window_view(_pad_input(x.data, geom.padding), k, geom.stride, out_h, out_w)
+    cols = win.transpose(0, 2, 3, 1, 4, 5).astype(np.float64, order="C")
+    return cols.reshape(n * out_h * out_w, c * k * k)
+
+
 def conv2d_forward(x: Tensor, kernel: Tensor, geom: ConvGeometry) -> Tensor:
     """Cross-correlate x with the kernel; padding logically extends x with zeros."""
     n, c, h, w, out_h, out_w = _check_conv_shapes(x, kernel, geom)
-    padded = _pad_input(x.data, geom.padding)
-    win = _window_view(padded, geom.kernel, geom.stride, out_h, out_w)
     k2 = geom.kernel * geom.kernel
     if geom.shared_single_channel:
+        padded = _pad_input(x.data, geom.padding)
+        win = _window_view(padded, geom.kernel, geom.stride, out_h, out_w)
         cols = win.reshape(n * c * out_h * out_w, k2).astype(np.float64)
         out = cols @ kernel.data.reshape(k2).astype(np.float64)
         return Tensor(out.reshape(n, c, out_h, out_w).astype(np.float32))
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * k2)
     kmat = kernel.data.reshape(geom.out_channels, c * k2).astype(np.float64)
-    out = cols.astype(np.float64) @ kmat.T
+    out = _im2col(x, geom, out_h, out_w) @ kmat.T
     out = out.reshape(n, out_h, out_w, geom.out_channels).transpose(0, 3, 1, 2)
     return Tensor(np.ascontiguousarray(out.astype(np.float32)))
-
-
-def conv2d_forward_naive(x: Tensor, kernel: Tensor, geom: ConvGeometry) -> Tensor:
-    """Explicit window iteration; must agree with conv2d_forward to 1e-6."""
-    n, c, h, w, out_h, out_w = _check_conv_shapes(x, kernel, geom)
-    padded = _pad_input(x.data, geom.padding).astype(np.float64)
-    k, s = geom.kernel, geom.stride
-    if geom.shared_single_channel:
-        kern = kernel.data.astype(np.float64)
-        out = np.zeros((n, c, out_h, out_w))
-        for i in range(out_h):
-            for j in range(out_w):
-                window = padded[:, :, i * s : i * s + k, j * s : j * s + k]
-                out[:, :, i, j] = np.sum(window * kern, axis=(2, 3))
-        return Tensor(out.astype(np.float32))
-    kern = kernel.data.astype(np.float64)
-    out = np.zeros((n, geom.out_channels, out_h, out_w))
-    for i in range(out_h):
-        for j in range(out_w):
-            window = padded[:, :, i * s : i * s + k, j * s : j * s + k]
-            out[:, :, i, j] = np.einsum("ncyx,ocyx->no", window, kern)
-    return Tensor(out.astype(np.float32))
 
 
 def conv2d_backward(
     grad_out: Tensor, x: Tensor, kernel: Tensor, geom: ConvGeometry
 ) -> tuple[Tensor, Tensor]:
-    """Gradients of sum(grad_out * conv2d_forward(x)) w.r.t. x and the kernel."""
+    """Gradients of sum(grad_out * conv2d_forward(x)) w.r.t. x and the kernel.
+
+    The dense kernel gradient is go^T @ cols and the column gradient go @ W,
+    with go the output gradient as an (N*out_h*out_w, O) matrix; col2im then
+    scatters the column gradient back onto the padded input.
+    """
     n, c, h, w, out_h, out_w = _check_conv_shapes(x, kernel, geom)
     if grad_out.shape != (n, geom.out_channels, out_h, out_w):
         raise GeometryError(
             f"grad_out shape {grad_out.shape} does not match forward output "
             f"{(n, geom.out_channels, out_h, out_w)}"
         )
-    k, s, p = geom.kernel, geom.stride, geom.padding
-    padded = _pad_input(x.data, p)
-    win = _window_view(padded, k, s, out_h, out_w)
-    go = grad_out.data.astype(np.float64)
+    k, s, p, o = geom.kernel, geom.stride, geom.padding, geom.out_channels
     if geom.shared_single_channel:
+        win = _window_view(_pad_input(x.data, p), k, s, out_h, out_w)
+        go = grad_out.data.astype(np.float64)
         grad_kernel = np.einsum("ncij,ncijyx->yx", go, win, dtype=np.float64)
         grad_win = go[:, :, :, :, None, None] * kernel.data.astype(np.float64)
     else:
-        grad_kernel = np.einsum("noij,ncijyx->ocyx", go, win, dtype=np.float64)
-        grad_win = np.einsum("noij,ocyx->ncijyx", go, kernel.data.astype(np.float64))
+        go = grad_out.data.transpose(0, 2, 3, 1).astype(np.float64, order="C")
+        go = go.reshape(n * out_h * out_w, o)
+        cols = _im2col(x, geom, out_h, out_w)
+        grad_kernel = (go.T @ cols).reshape(o, c, k, k)
+        del cols  # keep one column-sized buffer live at a time
+        grad_cols = go @ kernel.data.reshape(o, c * k * k).astype(np.float64)
+        grad_win = grad_cols.reshape(n, out_h, out_w, c, k, k).transpose(0, 3, 1, 2, 4, 5)
     grad_padded = np.zeros((n, c, h + 2 * p, w + 2 * p))
     for ky in range(k):
         for kx in range(k):

@@ -77,6 +77,65 @@ def conv_oracle(
     return out
 
 
+def conv2d_forward_naive(
+    x: np.ndarray, kernel: np.ndarray, stride: int, padding: int, shared: bool
+) -> np.ndarray:
+    """Cross-correlation by explicit window iteration, rounded to float32."""
+    k = kernel.shape[-1]
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    padded = np.pad(np.asarray(x, dtype=np.float64), pad)
+    kern = np.asarray(kernel, dtype=np.float64)
+    n, c = padded.shape[:2]
+    out_h = (padded.shape[2] - k) // stride + 1
+    out_w = (padded.shape[3] - k) // stride + 1
+    out = np.zeros((n, c if shared else kern.shape[0], out_h, out_w))
+    for i in range(out_h):
+        for j in range(out_w):
+            window = padded[:, :, i * stride : i * stride + k, j * stride : j * stride + k]
+            if shared:
+                out[:, :, i, j] = np.sum(window * kern, axis=(2, 3))
+            else:
+                out[:, :, i, j] = np.einsum("ncyx,ocyx->no", window, kern)
+    return out.astype(np.float32)
+
+
+def conv_backward_oracle(
+    x: np.ndarray,
+    kernel: np.ndarray,
+    grad_out: np.ndarray,
+    stride: int,
+    padding: int,
+    shared: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Input and kernel gradients of sum(grad_out * conv(x)), one product at a time.
+
+    Every output element (n, o, i, j) read input pixel (n, c, i*s + ky - p,
+    j*s + kx - p) through kernel tap (ky, kx); taps that landed on padding
+    contribute to the kernel gradient with a zero input and to no input pixel.
+    """
+    n, c, h, w = x.shape
+    k = kernel.shape[-1]
+    _, oc, out_h, out_w = grad_out.shape
+    grad_x = np.zeros((n, c, h, w), dtype=np.float64)
+    grad_kernel = np.zeros(kernel.shape, dtype=np.float64)
+    for ni in range(n):
+        for co in range(oc):
+            for oi in range(out_h):
+                for oj in range(out_w):
+                    g = float(grad_out[ni, co, oi, oj])
+                    for ci in [co] if shared else range(c):
+                        for ky in range(k):
+                            for kx in range(k):
+                                y = oi * stride + ky - padding
+                                xx = oj * stride + kx - padding
+                                if not (0 <= y < h and 0 <= xx < w):
+                                    continue
+                                tap = (ky, kx) if shared else (co, ci, ky, kx)
+                                grad_x[ni, ci, y, xx] += g * float(kernel[tap])
+                                grad_kernel[tap] += g * float(x[ni, ci, y, xx])
+    return grad_x, grad_kernel
+
+
 def perception_oracle(height: int, width: int, k: int, s: int, p: int) -> np.ndarray:
     """Slide every window explicitly and count which real pixels it covers."""
     out_h = (height + 2 * p - k) // s + 1

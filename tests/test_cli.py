@@ -16,6 +16,7 @@ from arm_lab.arm import build_network, save_checkpoint
 from arm_lab.cli import main
 from arm_lab.data import load_dataset
 from arm_lab.erosion import perception_map
+from arm_lab.tensor import Tensor, save_tensor
 from arm_lab.train import TrainConfig, build_arm_description, build_gap_description
 
 
@@ -198,6 +199,27 @@ class TestTrainCommand:
             ["train", "--data", str(tmp_path / "nowhere"), "--out",
              str(tmp_path / "out"), *TRAIN_ARGS]
         )
+        assert code == 4
+        assert "arm-lab: error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["truncated_ten", "non_integer_pgm_header"])
+    def test_malformed_sample_is_data_error(self, tmp_path, capsys, damage):
+        root = tmp_path / "corpus"
+        assert main(
+            ["synth", "--out", str(root), "--classes", "2", "--per-class", "3",
+             "--extent", "16", "--seed", "3"]
+        ) == 0
+        labels = (root / "labels.csv").read_text().splitlines()
+        rel = labels[1].split(",")[0]
+        if damage == "truncated_ten":
+            ten_rel = rel[: -len(".pgm")] + ".ten"
+            save_tensor(root / ten_rel, Tensor(np.zeros((16, 16), np.float32)))
+            (root / ten_rel).write_bytes((root / ten_rel).read_bytes()[:9])
+            labels[1] = labels[1].replace(rel, ten_rel)
+            (root / "labels.csv").write_text("\n".join(labels) + "\n")
+        else:
+            (root / rel).write_bytes(b"P5\n16 x16\n255\n" + bytes(256))
+        code = main(["train", "--data", str(root), "--out", str(tmp_path / "out"), *TRAIN_ARGS])
         assert code == 4
         assert "arm-lab: error" in capsys.readouterr().err
 

@@ -168,6 +168,13 @@ class TestPgm:
         with pytest.raises(DataError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("header", [b"P5\n4 x4\n255\n", b"P5\n4 4\n-255\n"])
+    def test_non_integer_header_field_is_data_error(self, tmp_path, header):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(header + bytes(16))
+        with pytest.raises(DataError, match="header field"):
+            read_pgm(path)
+
     def test_heatmap_scales_peak_to_white(self, tmp_path):
         path = tmp_path / "heat.pgm"
         write_heatmap(path, np.array([[0.0, 2.0], [1.0, 4.0]]))

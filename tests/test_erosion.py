@@ -1,3 +1,6 @@
+import importlib
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from arm_lab.erosion import (
     albino_maps_per_layer,
     cluster_weight_profile,
     coverage_counts_1d,
+    k_sweep,
     outer_ring_interior_split,
     perception_map,
     sweep_worker_count,
@@ -17,6 +21,9 @@ from arm_lab.errors import ConfigError, GeometryError, KernelTooLargeError
 from arm_lab.tensor import ConvGeometry
 
 from oracles import albino_oracle, cluster_profile_oracle, perception_oracle
+
+# the package exports a function named train, so fetch the module itself
+TRAIN_MODULE = importlib.import_module("arm_lab.train")
 
 
 class TestPerceptionMap:
@@ -173,3 +180,30 @@ class TestSweepWorkers:
         monkeypatch.setenv("ARM_LAB_THREADS", "many")
         with pytest.raises(ConfigError, match="ARM_LAB_THREADS"):
             sweep_worker_count()
+
+    def test_pool_threads_outlive_each_sweep(self, monkeypatch):
+        seen = []
+
+        def record(index, k, *args):
+            seen.append(threading.current_thread())
+            return {"k": k, "wa": 1.0, "ua": 1.0}
+
+        monkeypatch.setattr(TRAIN_MODULE, "train_sweep_point", record)
+        monkeypatch.setenv("ARM_LAB_THREADS", "2")
+        for _ in range(5):
+            rows = k_sweep(None, [1, 2, 3, 4], None)
+            assert [row["k"] for row in rows] == [1, 2, 3, 4]
+        assert threading.main_thread() not in seen
+        assert len(set(seen)) <= 2
+
+
+class TestKSweepFailures:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_programming_error_propagates(self, monkeypatch, threads):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug in the sweep point")
+
+        monkeypatch.setattr(TRAIN_MODULE, "train_sweep_point", broken)
+        monkeypatch.setenv("ARM_LAB_THREADS", threads)
+        with pytest.raises(RuntimeError, match="bug in the sweep point"):
+            k_sweep(None, [1, 2], None)

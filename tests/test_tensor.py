@@ -13,8 +13,8 @@ from arm_lab.tensor import (
     batchnorm,
     batchnorm_backward,
     channel_mean,
+    conv2d_backward,
     conv2d_forward,
-    conv2d_forward_naive,
     finite_diff_grad,
     kaiming_uniform,
     linear,
@@ -24,7 +24,17 @@ from arm_lab.tensor import (
     softmax_cross_entropy,
 )
 
-from oracles import conv_oracle
+from oracles import conv2d_forward_naive, conv_backward_oracle, conv_oracle
+
+# (n, c, h, w, k, s, p, out_channels, shared)
+CONV_CASES = [
+    (2, 3, 7, 7, 3, 1, 0, 4, False),
+    (1, 2, 8, 6, 3, 2, 1, 5, False),
+    (3, 4, 5, 5, 2, 1, 2, 3, False),
+    (2, 3, 7, 7, 3, 1, 0, 3, True),
+    (1, 4, 9, 9, 4, 2, 0, 4, True),
+    (2, 2, 6, 6, 3, 3, 1, 2, True),
+]
 
 
 class TestTensor:
@@ -81,6 +91,21 @@ class TestTenFormat:
         with pytest.raises(DataError, match="truncated"):
             load_tensor(path)
 
+    def test_truncation_at_every_offset_is_data_error(self, tmp_path):
+        path = tmp_path / "x.ten"
+        save_tensor(path, Tensor(np.arange(6, dtype=np.float32).reshape(2, 3)))
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(DataError):
+                load_tensor(path)
+
+    def test_huge_extents_are_data_error(self, tmp_path):
+        path = tmp_path / "x.ten"
+        path.write_bytes(b"ARMT" + bytes([1, 4]) + b"\xff" * 16 + bytes(16))
+        with pytest.raises(DataError, match="truncated payload"):
+            load_tensor(path)
+
 
 class TestConvGeometry:
     def test_out_extent(self):
@@ -104,27 +129,33 @@ class TestConvGeometry:
 
 
 class TestConv2d:
-    @pytest.mark.parametrize(
-        "n,c,h,w,k,s,p,oc,shared",
-        [
-            (2, 3, 7, 7, 3, 1, 0, 4, False),
-            (1, 2, 8, 6, 3, 2, 1, 5, False),
-            (3, 4, 5, 5, 2, 1, 2, 3, False),
-            (2, 3, 7, 7, 3, 1, 0, 3, True),
-            (1, 4, 9, 9, 4, 2, 0, 4, True),
-            (2, 2, 6, 6, 3, 3, 1, 2, True),
-        ],
-    )
+    @pytest.mark.parametrize("n,c,h,w,k,s,p,oc,shared", CONV_CASES)
     def test_matches_loop_oracle_and_naive_path(self, n, c, h, w, k, s, p, oc, shared):
         rng = np.random.default_rng([n, c, h, w, k, s, p])
         geom = ConvGeometry(k, s, p, c, oc, shared_single_channel=shared)
         x = Tensor(rng.standard_normal((n, c, h, w)).astype(np.float32))
         kernel = Tensor(rng.standard_normal(geom.kernel_shape()).astype(np.float32))
         fast = conv2d_forward(x, kernel, geom)
-        naive = conv2d_forward_naive(x, kernel, geom)
+        naive = conv2d_forward_naive(x.data, kernel.data, s, p, shared)
         oracle = conv_oracle(x.data, kernel.data, s, p, shared)
-        assert np.abs(fast.data - naive.data).max() <= 1e-6
+        assert np.abs(fast.data - naive).max() <= 1e-6
         assert np.abs(fast.data.astype(np.float64) - oracle).max() <= 1e-5
+
+    @pytest.mark.parametrize("n,c,h,w,k,s,p,oc,shared", CONV_CASES)
+    def test_backward_matches_loop_oracle(self, n, c, h, w, k, s, p, oc, shared):
+        rng = np.random.default_rng([n, c, h, w, k, s, p, 1])
+        geom = ConvGeometry(k, s, p, c, oc, shared_single_channel=shared)
+        x = Tensor(rng.standard_normal((n, c, h, w)).astype(np.float32))
+        kernel = Tensor(rng.standard_normal(geom.kernel_shape()).astype(np.float32))
+        out_shape = (n, oc, geom.out_extent(h), geom.out_extent(w))
+        grad_out = Tensor(rng.standard_normal(out_shape).astype(np.float32))
+        grad_x, grad_kernel = conv2d_backward(grad_out, x, kernel, geom)
+        want_x, want_kernel = conv_backward_oracle(
+            x.data, kernel.data, grad_out.data, s, p, shared
+        )
+        assert grad_x.shape == x.shape and grad_kernel.shape == kernel.shape
+        assert np.abs(grad_x.data.astype(np.float64) - want_x).max() <= 1e-5
+        assert np.abs(grad_kernel.data.astype(np.float64) - want_kernel).max() <= 1e-5
 
     def test_padding_equals_explicit_zero_extension(self):
         """Padded convolution must equal p=0 on an explicitly extended input, bit for bit."""
