@@ -12,10 +12,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .arrange import ShuffleSpec, max_shuffle_ratio, pixel_shuffle, pixel_unshuffle
+from .data import read_json_object
 from .errors import ConfigError, DataError, UninitializedStateError
 from .tensor import (
     ConvGeometry,
@@ -186,7 +188,6 @@ class AffinityCache:
     lam: float
     buffer: np.ndarray  # float64, the estimate used in the forward pass
     batch_mean: np.ndarray | None = None  # float64, train mode only
-    learnable: bool = True
 
 
 def affinity_batch_mean(features: np.ndarray) -> np.ndarray:
@@ -242,9 +243,7 @@ def affinity_forward(
             )
         buffer = state.feature.data.astype(np.float64)
         out = (features.astype(np.float64) - buffer[None]).astype(np.float32)
-        return out, AffinityCache(
-            train=False, lam=0.0, buffer=buffer, learnable=state.learnable
-        )
+        return out, AffinityCache(train=False, lam=0.0, buffer=buffer)
 
     bm = affinity_batch_mean(features)
     if not state.initialized:
@@ -261,9 +260,7 @@ def affinity_forward(
     lam = state.clamped_smoothing()
     mixed = lam * bm + (1.0 - lam) * buffer
     out = (features.astype(np.float64) - mixed[None]).astype(np.float32)
-    return out, AffinityCache(
-        train=True, lam=lam, buffer=buffer, batch_mean=bm, learnable=state.learnable
-    )
+    return out, AffinityCache(train=True, lam=lam, buffer=buffer, batch_mean=bm)
 
 
 def affinity_backward(
@@ -282,8 +279,57 @@ def affinity_backward(
 # Building blocks.
 
 
-class ConvBlock:
+class Module:
+    """Parameter, state and checkpoint plumbing derived from declarations.
+
+    A subclass lists (checkpoint name, attribute path) pairs, in checkpoint
+    order: PARAMS for its learnable tensors, BUFFERS for the saved arrays that
+    do not learn. children() yields (name prefix, module) pairs. A module's
+    state is its parameters' data, then its buffers, then each child's state
+    under the child's prefix.
+    """
+
+    PARAMS: tuple[tuple[str, str], ...] = ()
+    BUFFERS: tuple[tuple[str, str], ...] = ()
+
+    def children(self):
+        return ()
+
+    def params(self, prefix=""):
+        out = [(prefix + name, attrgetter(path)(self)) for name, path in self.PARAMS]
+        for child_prefix, child in self.children():
+            out.extend(child.params(prefix + child_prefix))
+        return out
+
+    def _saved(self):
+        return [(name, path + ".data") for name, path in self.PARAMS] + list(self.BUFFERS)
+
+    def state_dict(self, prefix=""):
+        out = {prefix + name: attrgetter(path)(self) for name, path in self._saved()}
+        for child_prefix, child in self.children():
+            out.update(child.state_dict(prefix + child_prefix))
+        return out
+
+    def load_state_dict(self, values, prefix=""):
+        for name, path in self._saved():
+            owner_path, _, attr = path.rpartition(".")
+            owner = attrgetter(owner_path)(self)
+            shape = getattr(owner, attr).shape
+            setattr(owner, attr, _taken(values, prefix + name, shape))
+        for child_prefix, child in self.children():
+            child.load_state_dict(values, prefix + child_prefix)
+
+    def post_step(self):
+        """Hook run after each optimizer step; projects parameters if needed."""
+        for _, child in self.children():
+            child.post_step()
+
+
+class ConvBlock(Module):
     """Bias-free strided convolution, batch normalization, rectification."""
+
+    PARAMS = (("kernel", "kernel"), ("bn_scale", "scale"), ("bn_shift", "shift"))
+    BUFFERS = (("bn_running_mean", "running.mean"), ("bn_running_var", "running.var"))
 
     def __init__(self, rng, in_channels, out_channels, kernel=3, stride=2, padding=1):
         self.geom = ConvGeometry(kernel, stride, padding, in_channels, out_channels)
@@ -312,28 +358,8 @@ class ConvBlock:
         self.kernel.add_grad(grad_kernel.data)
         return grad_x
 
-    def params(self, prefix=""):
-        return [
-            (prefix + "kernel", self.kernel),
-            (prefix + "bn_scale", self.scale),
-            (prefix + "bn_shift", self.shift),
-        ]
 
-    def state_dict(self, prefix=""):
-        out = {name: t.data for name, t in self.params(prefix)}
-        out[prefix + "bn_running_mean"] = self.running.mean
-        out[prefix + "bn_running_var"] = self.running.var
-        return out
-
-    def load_state_dict(self, values, prefix=""):
-        _assign(self.kernel, values, prefix + "kernel")
-        _assign(self.scale, values, prefix + "bn_scale")
-        _assign(self.shift, values, prefix + "bn_shift")
-        self.running.mean = _taken(values, prefix + "bn_running_mean", self.running.mean.shape)
-        self.running.var = _taken(values, prefix + "bn_running_var", self.running.var.shape)
-
-
-class TinyBackbone:
+class TinyBackbone(Module):
     """Stack of stride-2 blocks mapping (N, 1, E, E) to (N, C, E/2^d, E/2^d)."""
 
     def __init__(self, rng, input_extent: int, widths=(8, 16, 32), in_channels: int = 1):
@@ -364,28 +390,30 @@ class TinyBackbone:
             grad_out = block.backward(grad_out, cache)
         return grad_out
 
-    def params(self, prefix=""):
-        out = []
-        for i, block in enumerate(self.blocks):
-            out.extend(block.params(f"{prefix}block{i}."))
-        return out
-
-    def state_dict(self, prefix=""):
-        out = {}
-        for i, block in enumerate(self.blocks):
-            out.update(block.state_dict(f"{prefix}block{i}."))
-        return out
-
-    def load_state_dict(self, values, prefix=""):
-        for i, block in enumerate(self.blocks):
-            block.load_state_dict(values, f"{prefix}block{i}.")
+    def children(self):
+        return [(f"block{i}.", block) for i, block in enumerate(self.blocks)]
 
 
-class ArmHead:
-    """Arrange, weight, normalize, pool, split affinity, classify."""
+class ArmHead(Module):
+    """Arrange, weight, normalize, pool, split affinity, classify.
+
+    The smoothing coefficient is saved either way but is a parameter only
+    when learnable. The generic-feature buffer is saved only once a batch
+    has initialized it, so an absent entry loads as uninitialized.
+    """
+
+    PARAMS = (
+        ("weighting_kernel", "weighting_kernel"), ("bn_scale", "scale"),
+        ("bn_shift", "shift"), ("fc_weight", "fc_weight"), ("fc_bias", "fc_bias"),
+    )
+    BUFFERS = (("bn_running_mean", "running.mean"), ("bn_running_var", "running.var"))
 
     def __init__(self, rng, config: ArmConfig):
         self.config = config
+        if config.smoothing_learnable:
+            self.PARAMS = ArmHead.PARAMS + (("smoothing", "state.smoothing"),)
+        else:
+            self.BUFFERS = (("smoothing", "state.smoothing.data"),) + ArmHead.BUFFERS
         geom = config.da_geometry
         self.weighting_kernel = Tensor(
             kaiming_uniform(rng, geom.kernel_shape(), geom.kernel * geom.kernel)
@@ -446,45 +474,17 @@ class ArmHead:
         self.weighting_kernel.add_grad(grad_kernel.data)
         return pixel_unshuffle(grad_arranged, cfg.ratio)
 
-    def params(self, prefix=""):
-        out = [
-            (prefix + "weighting_kernel", self.weighting_kernel),
-            (prefix + "bn_scale", self.scale),
-            (prefix + "bn_shift", self.shift),
-            (prefix + "fc_weight", self.fc_weight),
-            (prefix + "fc_bias", self.fc_bias),
-        ]
-        if self.state.learnable:
-            out.append((prefix + "smoothing", self.state.smoothing))
-        return out
-
     def post_step(self):
         self.state.clamp_param()
 
     def state_dict(self, prefix=""):
-        out = {
-            prefix + "weighting_kernel": self.weighting_kernel.data,
-            prefix + "bn_scale": self.scale.data,
-            prefix + "bn_shift": self.shift.data,
-            prefix + "fc_weight": self.fc_weight.data,
-            prefix + "fc_bias": self.fc_bias.data,
-            prefix + "smoothing": self.state.smoothing.data,
-            prefix + "bn_running_mean": self.running.mean,
-            prefix + "bn_running_var": self.running.var,
-        }
+        out = super().state_dict(prefix)
         if self.state.initialized:
             out[prefix + "generic_feature"] = self.state.feature.data
         return out
 
     def load_state_dict(self, values, prefix=""):
-        _assign(self.weighting_kernel, values, prefix + "weighting_kernel")
-        _assign(self.scale, values, prefix + "bn_scale")
-        _assign(self.shift, values, prefix + "bn_shift")
-        _assign(self.fc_weight, values, prefix + "fc_weight")
-        _assign(self.fc_bias, values, prefix + "fc_bias")
-        _assign(self.state.smoothing, values, prefix + "smoothing")
-        self.running.mean = _taken(values, prefix + "bn_running_mean", self.running.mean.shape)
-        self.running.var = _taken(values, prefix + "bn_running_var", self.running.var.shape)
+        super().load_state_dict(values, prefix)
         key = prefix + "generic_feature"
         if key in values:
             fh, fw = self.config.feature_height, self.config.feature_width
@@ -496,8 +496,10 @@ class ArmHead:
             self.state.initialized = False
 
 
-class GapHead:
+class GapHead(Module):
     """Plain global-average-pool classifier over the backbone output."""
+
+    PARAMS = (("fc_weight", "fc_weight"), ("fc_bias", "fc_bias"))
 
     def __init__(self, rng, channels: int, classes: int):
         self.channels = channels
@@ -524,26 +526,18 @@ class GapHead:
         )
         return Tensor(grad_x.astype(np.float32))
 
-    def params(self, prefix=""):
-        return [(prefix + "fc_weight", self.fc_weight), (prefix + "fc_bias", self.fc_bias)]
 
-    def post_step(self):
-        pass
-
-    def state_dict(self, prefix=""):
-        return {name: t.data for name, t in self.params(prefix)}
-
-    def load_state_dict(self, values, prefix=""):
-        _assign(self.fc_weight, values, prefix + "fc_weight")
-        _assign(self.fc_bias, values, prefix + "fc_bias")
-
-
-class SweepHead:
+class SweepHead(Module):
     """Shared single-channel weighting convolution, flatten, classify.
 
     Used for kernel-size sweeps: stride 1, no padding, classifier sized to
     whatever spatial extent the kernel leaves over.
     """
+
+    PARAMS = (
+        ("weighting_kernel", "weighting_kernel"), ("fc_weight", "fc_weight"),
+        ("fc_bias", "fc_bias"),
+    )
 
     def __init__(self, rng, channels: int, extent: int, kernel: int, classes: int):
         self.geom = ConvGeometry(
@@ -581,26 +575,8 @@ class SweepHead:
         self.weighting_kernel.add_grad(grad_kernel.data)
         return grad_x
 
-    def params(self, prefix=""):
-        return [
-            (prefix + "weighting_kernel", self.weighting_kernel),
-            (prefix + "fc_weight", self.fc_weight),
-            (prefix + "fc_bias", self.fc_bias),
-        ]
 
-    def post_step(self):
-        pass
-
-    def state_dict(self, prefix=""):
-        return {name: t.data for name, t in self.params(prefix)}
-
-    def load_state_dict(self, values, prefix=""):
-        _assign(self.weighting_kernel, values, prefix + "weighting_kernel")
-        _assign(self.fc_weight, values, prefix + "fc_weight")
-        _assign(self.fc_bias, values, prefix + "fc_bias")
-
-
-class Network:
+class Network(Module):
     """Backbone plus head with explicit forward caches and accumulated grads."""
 
     def __init__(self, backbone: TinyBackbone, head, description: dict):
@@ -620,28 +596,12 @@ class Network:
         grad = self.head.backward(grad_logits, cache["head"])
         return self.backbone.backward(grad, cache["backbone"])
 
-    def params(self):
-        return self.backbone.params("backbone.") + self.head.params("head.")
+    def children(self):
+        return (("backbone.", self.backbone), ("head.", self.head))
 
     def zero_grads(self):
         for _, tensor in self.params():
             tensor.zero_grad()
-
-    def post_step(self):
-        self.head.post_step()
-
-    def state_dict(self):
-        out = self.backbone.state_dict("backbone.")
-        out.update(self.head.state_dict("head."))
-        return out
-
-    def load_state_dict(self, values):
-        self.backbone.load_state_dict(values, "backbone.")
-        self.head.load_state_dict(values, "head.")
-
-
-def _assign(tensor: Tensor, values: dict, key: str) -> None:
-    tensor.data = _taken(values, key, tensor.shape)
 
 
 def _taken(values: dict, key: str, shape) -> np.ndarray:
@@ -721,13 +681,21 @@ def load_checkpoint(ckpt_dir) -> tuple[Network, dict]:
     manifest_path = os.path.join(ckpt_dir, CHECKPOINT_MANIFEST)
     if not os.path.exists(manifest_path):
         raise DataError(f"{ckpt_dir}: missing {CHECKPOINT_MANIFEST}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json_object(manifest_path)
     if manifest.get("format") != "arm-lab-checkpoint":
         raise DataError(f"{ckpt_dir}: not a checkpoint manifest")
-    network = build_network(manifest["network"], seed=0)
+    description, files = manifest.get("network"), manifest.get("tensors")
+    if not isinstance(description, dict) or not isinstance(files, dict):
+        raise DataError(f"{manifest_path}: 'network' and 'tensors' must be JSON objects")
+    try:
+        network = build_network(description, seed=0)
+    except (KeyError, TypeError, ValueError) as exc:  # missing, mistyped or unknown fields
+        raise DataError(f"{manifest_path}: bad network description: {exc}") from None
     values = {}
-    for name, fname in manifest["tensors"].items():
-        values[name] = load_tensor(os.path.join(ckpt_dir, fname)).data
+    for name, fname in files.items():
+        path = os.path.join(ckpt_dir, str(fname))
+        if not os.path.isfile(path):
+            raise DataError(f"{manifest_path}: missing tensor file {fname!r}")
+        values[name] = load_tensor(path).data
     network.load_state_dict(values)
     return network, manifest

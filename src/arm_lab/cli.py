@@ -15,8 +15,7 @@ import sys
 
 import numpy as np
 
-from .arm import load_checkpoint
-from .arrange import ShuffleSpec, max_shuffle_ratio
+from .arm import ArmConfig, load_checkpoint
 from .data import (
     class_counts_report,
     load_dataset,
@@ -155,8 +154,9 @@ def cmd_perception(args) -> int:
     out = _ensure_out(args.out)
     np.savetxt(os.path.join(out, "perception.csv"), pm.counts, fmt="%d", delimiter=",")
     write_heatmap(os.path.join(out, "perception.pgm"), pm.counts)
-    out_h = (args.height + 2 * args.padding - args.kernel) // args.stride + 1
-    out_w = (args.width + 2 * args.padding - args.kernel) // args.stride + 1
+    geom = ConvGeometry(args.kernel, args.stride, args.padding, 1, 1)
+    out_h = geom.out_extent(args.height, "height")
+    out_w = geom.out_extent(args.width, "width")
     total = int(pm.counts.sum())
     bound = out_h * out_w * args.kernel * args.kernel
     checks = {
@@ -380,16 +380,18 @@ def cmd_sweep_k(args) -> int:
 
 
 def cmd_clusters(args) -> int:
-    ratio = args.ratio if args.ratio is not None else max_shuffle_ratio(args.channels)
-    spec = ShuffleSpec(ratio, args.channels, args.height, args.width)
-    kernel = args.kernel if args.kernel is not None else 2 * ratio
-    stride = args.stride if args.stride is not None else max(1, ratio // 2)
-    geom = ConvGeometry(
-        kernel=kernel, stride=stride, padding=0,
-        in_channels=spec.out_channels, out_channels=spec.out_channels,
-        shared_single_channel=True,
+    if min(args.channels, args.height, args.width) < 1:
+        # a geometry error, as for every other impossible cluster geometry
+        raise GeometryError(
+            f"invalid input shape ({args.channels}, {args.height}, {args.width})"
+        )
+    # the head's own defaults: the classifier size does not affect the profile
+    head = ArmConfig(
+        args.channels, args.height, args.width, classes=2,
+        ratio=args.ratio, da_kernel=args.kernel, da_stride=args.stride,
     )
-    profile = cluster_weight_profile(spec, geom)
+    ratio, kernel, stride = head.ratio, head.da_kernel, head.da_stride
+    profile = cluster_weight_profile(head.shuffle_spec, head.da_geometry)
     ring, interior = outer_ring_interior_split(profile)
     out = _ensure_out(args.out)
     np.savetxt(os.path.join(out, "clusters.csv"), profile, fmt="%d", delimiter=",")

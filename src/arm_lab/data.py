@@ -258,7 +258,7 @@ def synth_dataset(
             write_pgm(os.path.join(root, rel), np.rint(image * 255.0).astype(np.uint8))
             rows.append((rel, name))
 
-    with open(os.path.join(root, LABELS_FILE), "w", newline="") as fh:
+    with open(os.path.join(root, LABELS_FILE), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["relative_path", "label"])
         writer.writerows(rows)
@@ -289,6 +289,18 @@ def _load_image(root: str, rel: str) -> np.ndarray:
     return read_pgm(path).astype(np.float32) / 255.0
 
 
+def read_json_object(path) -> dict:
+    """Parse a metadata file that must hold one JSON object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            value = json.load(fh)
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise DataError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def load_dataset(root) -> DatasetIndex:
     """Load labels.csv plus referenced images (PGM P5 or .ten) from a corpus root."""
     labels_path = os.path.join(root, LABELS_FILE)
@@ -297,20 +309,24 @@ def load_dataset(root) -> DatasetIndex:
     declared = None
     manifest_path = os.path.join(root, MANIFEST_FILE)
     if os.path.exists(manifest_path):
-        with open(manifest_path) as fh:
-            declared = list(json.load(fh).get("classes", [])) or None
+        declared = read_json_object(manifest_path).get("classes", [])
+        if not isinstance(declared, list):
+            raise DataError(f"{manifest_path}: 'classes' must be a list of class names")
+        declared = declared or None
 
+    try:
+        with open(labels_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{labels_path}: not UTF-8 text: {exc}") from None
+    if not rows or [h.strip() for h in rows[0][:2]] != ["relative_path", "label"]:
+        raise DataError(f"{LABELS_FILE}: expected header 'relative_path,label'")
     paths, names = [], []
-    with open(labels_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["relative_path", "label"]:
-            raise DataError(f"{LABELS_FILE}: expected header 'relative_path,label'")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 2 or not row[0] or not row[1]:
-                raise DataError(f"{LABELS_FILE}: malformed row {row_no}")
-            paths.append(row[0])
-            names.append(row[1])
+    for row_no, row in enumerate(rows[1:], start=2):
+        if len(row) != 2 or not row[0] or not row[1]:
+            raise DataError(f"{LABELS_FILE}: malformed row {row_no}")
+        paths.append(row[0])
+        names.append(row[1])
     if not paths:
         raise DataError(f"{LABELS_FILE}: no samples listed")
 

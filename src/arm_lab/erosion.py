@@ -41,18 +41,9 @@ class AlbinoMap:
     contamination: np.ndarray  # (height, width) float64
 
 
-def _out_extent(extent: int, k: int, s: int, p: int, label: str) -> int:
-    out = (extent + 2 * p - k) // s + 1
-    if out < 1:
-        raise KernelTooLargeError(
-            f"kernel {k} with stride {s} and padding {p} does not fit {label} extent {extent}"
-        )
-    return out
-
-
 def coverage_counts_1d(extent: int, k: int, s: int, p: int) -> np.ndarray:
     """Number of windows covering each position along one axis."""
-    out = _out_extent(extent, k, s, p, "axis")
+    out = ConvGeometry(k, s, p, 1, 1).out_extent(extent, "axis")
     pos = np.arange(extent) + p
     lo = np.maximum(0, -(-(pos - k + 1) // s))  # ceil division
     hi = np.minimum(out - 1, pos // s)
@@ -76,8 +67,9 @@ def perception_map(height: int, width: int, k: int, s: int, p: int) -> Perceptio
 
 def _propagate_clean_mass(mass: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
     h, w = mass.shape
-    out_h = _out_extent(h, k, s, p, "height")
-    out_w = _out_extent(w, k, s, p, "width")
+    geom = ConvGeometry(k, s, p, 1, 1)
+    out_h = geom.out_extent(h, "height")
+    out_w = geom.out_extent(w, "width")
     padded = np.pad(mass, p) if p else mass
     win = np.lib.stride_tricks.sliding_window_view(padded, (k, k))
     win = win[::s, ::s][:out_h, :out_w]

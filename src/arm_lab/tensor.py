@@ -74,10 +74,6 @@ class Tensor:
         self.ensure_grad()
         self.grad += np.asarray(delta, dtype=np.float32).reshape(self.data.shape)
 
-    def assert_finite(self, label: str = "tensor") -> None:
-        if not np.all(np.isfinite(self.data)):
-            raise OracleError(f"{label} contains non-finite values")
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, grad={'yes' if self.grad is not None else 'no'})"
 

@@ -1,3 +1,7 @@
+import filecmp
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -282,3 +286,41 @@ class TestNetworks:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
             load_checkpoint(tmp_path)
+
+
+V1_CHECKPOINTS = Path(__file__).resolve().parent / "data" / "checkpoints_v1"
+BACKBONE_PARAMS = [
+    f"backbone.block{i}.{name}" for i in (0, 1) for name in ("kernel", "bn_scale", "bn_shift")
+]
+HEAD_PARAMS = {
+    "arm": ["weighting_kernel", "bn_scale", "bn_shift", "fc_weight", "fc_bias", "smoothing"],
+    "arm_frozen": ["weighting_kernel", "bn_scale", "bn_shift", "fc_weight", "fc_bias"],
+    "gap": ["fc_weight", "fc_bias"],
+    "sweep": ["weighting_kernel", "fc_weight", "fc_bias"],
+}
+
+
+class TestVersion1Checkpoints:
+    """Checkpoints written by the hand-written per-class state code still load.
+
+    Each fixture has backbone widths [4, 8] and input extent 16, laid out as
+    in TestNetworks.make_desc: "arm" after one training batch (so it holds a
+    generic feature), "arm_frozen" untrained with a frozen smoothing
+    coefficient, "gap" and "sweep" (kernel 2) after one training batch.
+    """
+
+    @pytest.mark.parametrize("kind", sorted(HEAD_PARAMS))
+    def test_load_and_resave_is_byte_identical(self, kind, tmp_path):
+        source = V1_CHECKPOINTS / kind
+        network, manifest = load_checkpoint(source)
+        assert [name for name, _ in network.params()] == BACKBONE_PARAMS + [
+            f"head.{name}" for name in HEAD_PARAMS[kind]
+        ]
+        assert ("head.generic_feature" in network.state_dict()) == (kind == "arm")
+        save_checkpoint(tmp_path / kind, network)
+        with open(tmp_path / kind / "manifest.json") as fh:
+            resaved = json.load(fh)
+        assert resaved["tensors"] == manifest["tensors"]
+        assert resaved["network"] == manifest["network"]
+        for fname in manifest["tensors"].values():
+            assert filecmp.cmp(source / fname, tmp_path / kind / fname, shallow=False), fname

@@ -272,6 +272,60 @@ class TestEvalCommand:
         assert code == 6
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "manifest_not_json", "manifest_not_object", "missing_tensors",
+            "missing_network", "network_is_list", "tensors_is_list",
+            "non_integer_width", "unknown_arm_field", "missing_arm_section",
+            "missing_tensor_file",
+            "corpus_manifest_not_json", "corpus_classes_not_list", "labels_not_utf8",
+        ],
+    )
+    def test_malformed_metadata_is_data_error(self, trained, corpus, tmp_path, capsys, damage):
+        ckpt = tmp_path / "checkpoint"
+        data = tmp_path / "corpus"
+        shutil.copytree(trained / "checkpoint", ckpt)
+        shutil.copytree(corpus, data)
+        manifest = read_manifest(ckpt)
+        named = "manifest.json"
+        if damage == "manifest_not_json":
+            (ckpt / "manifest.json").write_text('{"format": "arm-lab-checkpoint",')
+        elif damage == "manifest_not_object":
+            (ckpt / "manifest.json").write_text("[]")
+        elif damage == "corpus_manifest_not_json":
+            (data / "manifest.json").write_text("{classes")
+        elif damage == "corpus_classes_not_list":
+            (data / "manifest.json").write_text('{"classes": 3}')
+        elif damage == "labels_not_utf8":
+            (data / "labels.csv").write_bytes(b"relative_path,label\nx.pgm,\xff\xfe\n")
+            named = "labels.csv"
+        else:
+            if damage == "missing_tensors":
+                del manifest["tensors"]
+            elif damage == "missing_network":
+                del manifest["network"]
+            elif damage == "network_is_list":
+                manifest["network"] = [manifest["network"]]
+            elif damage == "tensors_is_list":
+                manifest["tensors"] = list(manifest["tensors"].values())
+            elif damage == "non_integer_width":
+                manifest["network"]["backbone_widths"] = ["x"]
+            elif damage == "unknown_arm_field":
+                manifest["network"]["arm"]["bogus"] = 1
+            elif damage == "missing_arm_section":
+                del manifest["network"]["arm"]
+            elif damage == "missing_tensor_file":
+                (ckpt / manifest["tensors"]["head.fc_bias"]).unlink()
+            (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        code = main(
+            ["eval", "--checkpoint", str(ckpt), "--data", str(data),
+             "--out", str(tmp_path / "out"), "--split", "all"]
+        )
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert named in err
+
     def test_checkpoint_without_split_info_needs_split_all(self, corpus, tmp_path):
         index = load_dataset(corpus)
         config = TrainConfig(backbone_widths=(4, 8))
@@ -337,6 +391,12 @@ class TestClustersCommand:
              "--out", str(tmp_path / "cl")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("empty", ["--channels", "--height"])
+    def test_empty_input_shape_is_geometry_error(self, tmp_path, empty):
+        shape = {"--channels": "512", "--height": "7", "--width": "7", empty: "0"}
+        args = [part for item in shape.items() for part in item]
+        assert main(["clusters", *args, "--out", str(tmp_path / "cl")]) == 3
 
 
 class TestUnexpectedErrors:

@@ -71,6 +71,17 @@ class TestPerceptionMap:
         with pytest.raises(KernelTooLargeError):
             perception_map(4, 4, 5, 1, 0)
 
+    @pytest.mark.parametrize(
+        "k, s, p", [(0, 1, 0), (3, 0, 0), (3, 1, -1)], ids=["kernel0", "stride0", "padding-1"]
+    )
+    def test_axis_counts_reject_invalid_geometry(self, k, s, p):
+        with pytest.raises(GeometryError):
+            coverage_counts_1d(5, k, s, p)
+
+    def test_axis_counts_name_the_axis_when_the_kernel_overruns(self):
+        with pytest.raises(KernelTooLargeError, match="does not fit axis extent 5"):
+            coverage_counts_1d(5, 7, 1, 0)
+
     @given(
         h=st.integers(3, 16),
         w=st.integers(3, 16),
