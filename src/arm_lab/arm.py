@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -657,8 +658,23 @@ def build_network(description: dict, seed: int = 0) -> Network:
     return Network(backbone, head, dict(description))
 
 
+def environment() -> dict:
+    """What bitwise replay depends on: interpreter, numpy, its BLAS, the sweep thread cap."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy before 1.26 has no dict mode
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "arm_lab_threads": os.environ.get("ARM_LAB_THREADS"),
+    }
+
+
 def save_checkpoint(out_dir, network: Network, extra: dict | None = None) -> None:
-    """Write every tensor as a .ten file plus a manifest tying them together."""
+    """Write every tensor as a .ten file plus a manifest; extra gains the environment."""
     os.makedirs(out_dir, exist_ok=True)
     files = {}
     for name, data in network.state_dict().items():
@@ -670,7 +686,7 @@ def save_checkpoint(out_dir, network: Network, extra: dict | None = None) -> Non
         "version": 1,
         "network": network.description,
         "tensors": files,
-        "extra": extra or {},
+        "extra": dict(extra or {}, environment=environment()),
     }
     with open(os.path.join(out_dir, CHECKPOINT_MANIFEST), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -698,4 +714,7 @@ def load_checkpoint(ckpt_dir) -> tuple[Network, dict]:
             raise DataError(f"{manifest_path}: missing tensor file {fname!r}")
         values[name] = load_tensor(path).data
     network.load_state_dict(values)
+    undeclared = sorted(set(values) - set(network.state_dict()))
+    if undeclared:
+        raise DataError(f"{manifest_path}: the network declares no tensors named {undeclared}")
     return network, manifest

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .arm import ArmConfig, load_checkpoint
+from .arm import ArmConfig, environment, load_checkpoint
 from .data import (
     class_counts_report,
     load_dataset,
@@ -36,7 +36,6 @@ from .errors import (
     ConfigError,
     DataError,
     GeometryError,
-    OracleError,
     TrainingDiverged,
     UninitializedStateError,
 )
@@ -87,6 +86,7 @@ def _write_manifest(out_dir, command, config, checks=None, results=None) -> None
         "config": config,
         "checks": checks or {},
         "results": results or {},
+        "environment": environment(),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -238,6 +238,7 @@ def cmd_synth(args) -> int:
             "seed": args.seed,
         },
         "checks": {"loaded_back": index.n_samples == int(index.counts.sum())},
+        "environment": environment(),
     }
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -529,7 +530,7 @@ def main(argv=None) -> int:
         return _fail(exc, EXIT_DATA)
     except ConfigError as exc:
         return _fail(exc, EXIT_CONFIG)
-    except (TrainingDiverged, UninitializedStateError, OracleError) as exc:
+    except (TrainingDiverged, UninitializedStateError) as exc:
         return _fail(exc, EXIT_RUNTIME)
     except Exception as exc:  # last resort: anything escaping the typed paths
         return _fail(exc, EXIT_UNEXPECTED)

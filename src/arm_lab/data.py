@@ -310,8 +310,11 @@ def load_dataset(root) -> DatasetIndex:
     manifest_path = os.path.join(root, MANIFEST_FILE)
     if os.path.exists(manifest_path):
         declared = read_json_object(manifest_path).get("classes", [])
-        if not isinstance(declared, list):
+        if not isinstance(declared, list) or not all(isinstance(n, str) for n in declared):
             raise DataError(f"{manifest_path}: 'classes' must be a list of class names")
+        repeated = [name for i, name in enumerate(declared) if name in declared[:i]]
+        if repeated:
+            raise DataError(f"{manifest_path}: 'classes' repeats {repeated}")
         declared = declared or None
 
     try:

@@ -2,7 +2,9 @@
 
 Values are stored as 32-bit floats; every reduction (convolution sums,
 normalization statistics, losses) accumulates in 64-bit before the result
-is rounded back to storage precision.
+is rounded back to storage precision. Every convolution is one dense GEMM
+over a tap-major im2col matrix; a shared single-channel kernel is the dense
+convolution with one input and one output channel over all N*C planes.
 """
 
 from __future__ import annotations
@@ -10,11 +12,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import GeometryError, KernelTooLargeError, DataError, OracleError
+from .errors import GeometryError, KernelTooLargeError, DataError
 
 TEN_MAGIC = b"ARMT"
 TEN_VERSION = 1
@@ -124,7 +125,8 @@ class ConvGeometry:
 
     With shared_single_channel=True a single kernel of shape (k, k) is applied
     independently to every input channel, so out_channels == in_channels and
-    the parameter count is exactly k*k (no bias).
+    the parameter count is exactly k*k (no bias). It is computed as a 1-in,
+    1-out dense convolution over every (sample, channel) plane.
     """
 
     kernel: int
@@ -160,9 +162,7 @@ class ConvGeometry:
 
     @property
     def param_count(self) -> int:
-        if self.shared_single_channel:
-            return self.kernel * self.kernel
-        return self.out_channels * self.in_channels * self.kernel * self.kernel
+        return math.prod(self.kernel_shape())
 
     def kernel_shape(self) -> tuple[int, ...]:
         if self.shared_single_channel:
@@ -170,7 +170,13 @@ class ConvGeometry:
         return (self.out_channels, self.in_channels, self.kernel, self.kernel)
 
 
-def _check_conv_shapes(x: Tensor, kernel: Tensor, geom: ConvGeometry):
+def _conv_operands(x: Tensor, kernel: Tensor, geom: ConvGeometry):
+    """Check the shapes; return the dense conv's planes, kernel matrix and output extents.
+
+    The planes are (B, C', H, W) and the kernel matrix float64 (O', C'*k*k):
+    (N, C, H, W) and (O, C*k*k) for a dense kernel, (N*C, 1, H, W) and
+    (1, k*k) for a shared single-channel one.
+    """
     if x.ndim != 4:
         raise GeometryError(f"conv2d expects NCHW input, got rank {x.ndim}")
     n, c, h, w = x.shape
@@ -184,44 +190,37 @@ def _check_conv_shapes(x: Tensor, kernel: Tensor, geom: ConvGeometry):
         )
     out_h = geom.out_extent(h, "height")
     out_w = geom.out_extent(w, "width")
-    return n, c, h, w, out_h, out_w
+    planes = x.data.reshape(-1, 1 if geom.shared_single_channel else c, h, w)
+    kmat = kernel.data.reshape(-1, planes.shape[1] * geom.kernel**2).astype(np.float64)
+    return planes, kmat, out_h, out_w
 
 
-def _pad_input(data: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return data
-    return np.pad(data, ((0, 0), (0, 0), (p, p), (p, p)))
+def _im2col(planes: np.ndarray, geom: ConvGeometry, out_h: int, out_w: int) -> np.ndarray:
+    """Tap-major float64 (C*k*k, B*out_h*out_w) matrix of the padded input's windows.
 
-
-def _window_view(padded: np.ndarray, k: int, s: int, out_h: int, out_w: int) -> np.ndarray:
-    # (N, C, out_h, out_w, k, k) strided view, no copy
-    win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
-    return win[:, :, ::s, ::s][:, :, :out_h, :out_w]
-
-
-def _im2col(x: Tensor, geom: ConvGeometry, out_h: int, out_w: int) -> np.ndarray:
-    """Float64 (N*out_h*out_w, C*k*k) matrix whose rows are the padded input's windows."""
-    n, c = x.shape[:2]
-    k = geom.kernel
-    win = _window_view(_pad_input(x.data, geom.padding), k, geom.stride, out_h, out_w)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).astype(np.float64, order="C")
-    return cols.reshape(n * out_h * out_w, c * k * k)
+    Row (c, ky, kx) holds tap (ky, kx) of channel c at every (b, i, j) output
+    position, so each tap is one strided copy (and float64 cast) of a
+    zero-padded float32 buffer laid out (C, B, H + 2p, W + 2p).
+    """
+    b, c, h, w = planes.shape
+    k, s, p = geom.kernel, geom.stride, geom.padding
+    src = planes.transpose(1, 0, 2, 3)
+    if p:
+        src = np.zeros((c, b, h + 2 * p, w + 2 * p), np.float32)
+        src[:, :, p : p + h, p : p + w] = planes.transpose(1, 0, 2, 3)
+    cols = np.empty((c, k, k, b, out_h, out_w))
+    for ky in range(k):
+        for kx in range(k):
+            cols[:, ky, kx] = src[:, :, ky : ky + s * out_h : s, kx : kx + s * out_w : s]
+    return cols.reshape(c * k * k, b * out_h * out_w)
 
 
 def conv2d_forward(x: Tensor, kernel: Tensor, geom: ConvGeometry) -> Tensor:
     """Cross-correlate x with the kernel; padding logically extends x with zeros."""
-    n, c, h, w, out_h, out_w = _check_conv_shapes(x, kernel, geom)
-    k2 = geom.kernel * geom.kernel
-    if geom.shared_single_channel:
-        padded = _pad_input(x.data, geom.padding)
-        win = _window_view(padded, geom.kernel, geom.stride, out_h, out_w)
-        cols = win.reshape(n * c * out_h * out_w, k2).astype(np.float64)
-        out = cols @ kernel.data.reshape(k2).astype(np.float64)
-        return Tensor(out.reshape(n, c, out_h, out_w).astype(np.float32))
-    kmat = kernel.data.reshape(geom.out_channels, c * k2).astype(np.float64)
-    out = _im2col(x, geom, out_h, out_w) @ kmat.T
-    out = out.reshape(n, out_h, out_w, geom.out_channels).transpose(0, 3, 1, 2)
-    return Tensor(np.ascontiguousarray(out.astype(np.float32)))
+    planes, kmat, out_h, out_w = _conv_operands(x, kernel, geom)
+    out = kmat @ _im2col(planes, geom, out_h, out_w)
+    out = out.reshape(-1, planes.shape[0], out_h, out_w).transpose(1, 0, 2, 3)
+    return Tensor(out.astype(np.float32, order="C").reshape(x.shape[0], -1, out_h, out_w))
 
 
 def conv2d_backward(
@@ -229,38 +228,33 @@ def conv2d_backward(
 ) -> tuple[Tensor, Tensor]:
     """Gradients of sum(grad_out * conv2d_forward(x)) w.r.t. x and the kernel.
 
-    The dense kernel gradient is go^T @ cols and the column gradient go @ W,
-    with go the output gradient as an (N*out_h*out_w, O) matrix; col2im then
-    scatters the column gradient back onto the padded input.
+    With go the output gradient as an (O, B*out_h*out_w) matrix, the kernel
+    gradient is go @ cols^T and the column gradient W^T @ go; col2im then adds
+    each tap's contiguous plane back onto the padded input, taps in (ky, kx)
+    order.
     """
-    n, c, h, w, out_h, out_w = _check_conv_shapes(x, kernel, geom)
-    if grad_out.shape != (n, geom.out_channels, out_h, out_w):
+    planes, kmat, out_h, out_w = _conv_operands(x, kernel, geom)
+    expected = (x.shape[0], geom.out_channels, out_h, out_w)
+    if grad_out.shape != expected:
         raise GeometryError(
-            f"grad_out shape {grad_out.shape} does not match forward output "
-            f"{(n, geom.out_channels, out_h, out_w)}"
+            f"grad_out shape {grad_out.shape} does not match forward output {expected}"
         )
-    k, s, p, o = geom.kernel, geom.stride, geom.padding, geom.out_channels
-    if geom.shared_single_channel:
-        win = _window_view(_pad_input(x.data, p), k, s, out_h, out_w)
-        go = grad_out.data.astype(np.float64)
-        grad_kernel = np.einsum("ncij,ncijyx->yx", go, win, dtype=np.float64)
-        grad_win = go[:, :, :, :, None, None] * kernel.data.astype(np.float64)
-    else:
-        go = grad_out.data.transpose(0, 2, 3, 1).astype(np.float64, order="C")
-        go = go.reshape(n * out_h * out_w, o)
-        cols = _im2col(x, geom, out_h, out_w)
-        grad_kernel = (go.T @ cols).reshape(o, c, k, k)
-        del cols  # keep one column-sized buffer live at a time
-        grad_cols = go @ kernel.data.reshape(o, c * k * k).astype(np.float64)
-        grad_win = grad_cols.reshape(n, out_h, out_w, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-    grad_padded = np.zeros((n, c, h + 2 * p, w + 2 * p))
+    b, ci, h, w = planes.shape
+    k, s, p = geom.kernel, geom.stride, geom.padding
+    go = grad_out.data.reshape(b, -1, out_h, out_w).transpose(1, 0, 2, 3)
+    go = go.astype(np.float64, order="C").reshape(kmat.shape[0], -1)
+    cols = _im2col(planes, geom, out_h, out_w)
+    grad_kernel = (go @ cols.T).reshape(kernel.shape)
+    del cols  # keep one column-sized buffer live at a time
+    grad_cols = (kmat.T @ go).reshape(ci, k, k, b, out_h, out_w)
+    grad_padded = np.zeros((ci, b, h + 2 * p, w + 2 * p))
     for ky in range(k):
         for kx in range(k):
-            grad_padded[:, :, ky : ky + s * out_h : s, kx : kx + s * out_w : s] += grad_win[
-                :, :, :, :, ky, kx
-            ]
-    grad_x = grad_padded[:, :, p : p + h, p : p + w] if p else grad_padded
-    return Tensor(grad_x.astype(np.float32)), Tensor(grad_kernel.astype(np.float32))
+            tap = grad_padded[:, :, ky : ky + s * out_h : s, kx : kx + s * out_w : s]
+            tap += grad_cols[:, ky, kx]
+    grad_x = grad_padded[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
+    grad_x = grad_x.astype(np.float32, order="C").reshape(x.shape)
+    return Tensor(grad_x), Tensor(grad_kernel.astype(np.float32))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -427,37 +421,6 @@ def softmax_cross_entropy(logits: Tensor, labels) -> tuple[float, Tensor]:
     grad[np.arange(n), labels] -= 1.0
     grad /= n
     return loss, Tensor(grad.astype(np.float32))
-
-
-def finite_diff_grad(
-    f: Callable[[Tensor], float], x: Tensor, step: float = 1e-3
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time.
-
-    Divides by the realized float32 step rather than the nominal one so the
-    storage rounding of x +/- h does not bias the quotient. Returns float64.
-    """
-    if step <= 0:
-        raise OracleError(f"step must be positive, got {step}")
-    base = x.data.copy()
-    flat = base.reshape(-1)
-    grad = np.zeros(flat.shape, dtype=np.float64)
-    probe = base.copy()
-    probe_flat = probe.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        hi = np.float32(orig + step)
-        lo = np.float32(orig - step)
-        probe_flat[i] = hi
-        f_hi = float(f(Tensor(probe)))
-        probe_flat[i] = lo
-        f_lo = float(f(Tensor(probe)))
-        probe_flat[i] = orig
-        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
-            raise OracleError(f"non-finite evaluation at coordinate {i}")
-        denom = float(hi) - float(lo)
-        grad[i] = (f_hi - f_lo) / denom
-    return grad.reshape(x.shape)
 
 
 def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

@@ -208,23 +208,25 @@ def train(
             network.load_state_dict(last_good)
             break
         last_good = _snapshot(network)
-        _, wa, ua = evaluate(network, val_index, config.batch_size)
+        # the run's result unless a later epoch completes: a rollback restores this state
+        confusion, final_wa, final_ua = evaluate(network, val_index, config.batch_size)
         history.append(
             {
                 "epoch": epoch + 1,
                 "loss": total_loss / max(1, total_samples),
                 "lr": optimizer.lr,
-                "wa": wa,
-                "ua": ua,
+                "wa": final_wa,
+                "ua": final_ua,
             }
         )
 
-    try:
-        confusion, final_wa, final_ua = evaluate(network, val_index, config.batch_size)
-    except UninitializedStateError:
-        # diverged before the first epoch finished; there is nothing to score
-        confusion = ConfusionMatrix(classes=list(index.classes))
-        final_wa, final_ua = float("nan"), float("nan")
+    if not history:  # no epoch completed, so nothing has scored the initial state
+        try:
+            confusion, final_wa, final_ua = evaluate(network, val_index, config.batch_size)
+        except UninitializedStateError:
+            # diverged before the first epoch finished; there is nothing to score
+            confusion = ConfusionMatrix(classes=list(index.classes))
+            final_wa, final_ua = float("nan"), float("nan")
     result = {
         "network": network,
         "description": description,

@@ -12,6 +12,7 @@ import numpy as np
 
 from arm_lab.arm import GenericFeatureState, affinity_backward, affinity_forward
 from arm_lab.arrange import pixel_shuffle, pixel_unshuffle
+from arm_lab.errors import OracleError
 from arm_lab.tensor import (
     ConvGeometry,
     RunningStats,
@@ -22,7 +23,6 @@ from arm_lab.tensor import (
     channel_mean_backward,
     conv2d_backward,
     conv2d_forward,
-    finite_diff_grad,
     linear,
     linear_backward,
     relu,
@@ -32,6 +32,35 @@ from arm_lab.tensor import (
 
 TOLERANCE = 1e-3
 TOLERANCE_CROSS_ENTROPY = 1e-4
+
+
+def finite_diff_grad(f, x: Tensor, step: float = 1e-3) -> np.ndarray:
+    """Central-difference gradient of a scalar function, one coordinate at a time.
+
+    Divides by the realized float32 step rather than the nominal one so the
+    storage rounding of x +/- h does not bias the quotient. Returns float64.
+    """
+    if step <= 0:
+        raise OracleError(f"step must be positive, got {step}")
+    base = x.data.copy()
+    flat = base.reshape(-1)
+    grad = np.zeros(flat.shape, dtype=np.float64)
+    probe = base.copy()
+    probe_flat = probe.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        hi = np.float32(orig + step)
+        lo = np.float32(orig - step)
+        probe_flat[i] = hi
+        f_hi = float(f(Tensor(probe)))
+        probe_flat[i] = lo
+        f_lo = float(f(Tensor(probe)))
+        probe_flat[i] = orig
+        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
+            raise OracleError(f"non-finite evaluation at coordinate {i}")
+        denom = float(hi) - float(lo)
+        grad[i] = (f_hi - f_lo) / denom
+    return grad.reshape(x.shape)
 
 
 def _rel_error(fd: np.ndarray, analytic: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from arm_lab.arm import (
     load_checkpoint,
     save_checkpoint,
 )
+from arm_lab.cli import main
 from arm_lab.errors import ConfigError, DataError, KernelTooLargeError, UninitializedStateError
 from arm_lab.tensor import Tensor
 
@@ -324,3 +326,16 @@ class TestVersion1Checkpoints:
         assert resaved["network"] == manifest["network"]
         for fname in manifest["tensors"].values():
             assert filecmp.cmp(source / fname, tmp_path / kind / fname, shallow=False), fname
+
+    def test_undeclared_tensor_is_data_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "gap"
+        shutil.copytree(V1_CHECKPOINTS / "gap", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["tensors"]["head.bogus"] = manifest["tensors"]["head.fc_bias"]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="head.bogus"):
+            load_checkpoint(ckpt)
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "corpus"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert "head.bogus" in capsys.readouterr().err

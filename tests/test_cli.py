@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -194,6 +195,32 @@ class TestTrainCommand:
         assert (trained / "confusion.csv").exists()
         assert (trained / "checkpoint" / "manifest.json").exists()
 
+    def test_manifests_record_the_environment(self, trained, corpus, tmp_path, monkeypatch):
+        monkeypatch.setenv("ARM_LAB_THREADS", "2")
+        assert main(["perception", "--height", "7", "--width", "7", "--kernel", "3",
+                     "--out", str(tmp_path / "p")]) == 0
+        blocks = [
+            read_manifest(trained)["environment"],
+            read_manifest(trained / "checkpoint")["extra"]["environment"],
+            read_manifest(corpus)["run"]["environment"],
+            read_manifest(tmp_path / "p")["environment"],
+        ]
+        for block in blocks:
+            assert sorted(block) == ["arm_lab_threads", "blas", "blas_version", "numpy", "python"]
+            assert block["numpy"] == np.__version__
+            assert block["python"] == platform.python_version()
+        assert blocks[-1]["arm_lab_threads"] == "2"
+
+    def test_repeated_class_name_is_data_error(self, corpus, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        shutil.copytree(corpus, root)
+        manifest = read_manifest(root)
+        manifest["classes"] = ["class_0", "class_0", "class_1"]
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["train", "--data", str(root), "--out", str(tmp_path / "out"), *TRAIN_ARGS])
+        assert code == 4
+        assert "repeats" in capsys.readouterr().err
+
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code = main(
             ["train", "--data", str(tmp_path / "nowhere"), "--out",
@@ -279,7 +306,8 @@ class TestEvalCommand:
             "missing_network", "network_is_list", "tensors_is_list",
             "non_integer_width", "unknown_arm_field", "missing_arm_section",
             "missing_tensor_file",
-            "corpus_manifest_not_json", "corpus_classes_not_list", "labels_not_utf8",
+            "corpus_manifest_not_json", "corpus_classes_not_list", "corpus_class_not_string",
+            "labels_not_utf8",
         ],
     )
     def test_malformed_metadata_is_data_error(self, trained, corpus, tmp_path, capsys, damage):
@@ -297,6 +325,8 @@ class TestEvalCommand:
             (data / "manifest.json").write_text("{classes")
         elif damage == "corpus_classes_not_list":
             (data / "manifest.json").write_text('{"classes": 3}')
+        elif damage == "corpus_class_not_string":
+            (data / "manifest.json").write_text('{"classes": [["class_0"], "class_1", "class_2"]}')
         elif damage == "labels_not_utf8":
             (data / "labels.csv").write_bytes(b"relative_path,label\nx.pgm,\xff\xfe\n")
             named = "labels.csv"

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 
 import numpy as np
@@ -242,6 +243,14 @@ class TestLoadDataset:
         synth_dataset(tmp_path, 2, 2, extent=8, seed=0)
         os.remove(tmp_path / "class_1" / "sample_0001.pgm")
         with pytest.raises(DataError, match="class_1/sample_0001.pgm"):
+            load_dataset(tmp_path)
+
+    def test_repeated_class_name(self, tmp_path):
+        synth_dataset(tmp_path, 2, 3, extent=8, seed=0)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["classes"] = ["class_0", "class_0", "class_1"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="repeats \\['class_0'\\]"):
             load_dataset(tmp_path)
 
     def test_mismatched_extents(self, tmp_path):

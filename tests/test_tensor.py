@@ -15,7 +15,6 @@ from arm_lab.tensor import (
     channel_mean,
     conv2d_backward,
     conv2d_forward,
-    finite_diff_grad,
     kaiming_uniform,
     linear,
     load_tensor,
@@ -24,6 +23,7 @@ from arm_lab.tensor import (
     softmax_cross_entropy,
 )
 
+from gradcheck import finite_diff_grad
 from oracles import conv2d_forward_naive, conv_backward_oracle, conv_oracle
 
 # (n, c, h, w, k, s, p, out_channels, shared)
@@ -34,6 +34,8 @@ CONV_CASES = [
     (2, 3, 7, 7, 3, 1, 0, 3, True),
     (1, 4, 9, 9, 4, 2, 0, 4, True),
     (2, 2, 6, 6, 3, 3, 1, 2, True),
+    (2, 2, 16, 16, 8, 2, 0, 2, True),  # the ARM head's reference weighting geometry
+    (2, 3, 5, 4, 1, 1, 0, 3, True),
 ]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from oracles import accuracy_oracle, adam_oracle
 from arm_lab.arm import build_network, load_checkpoint
 from arm_lab.data import DatasetIndex
 from arm_lab.errors import ConfigError, KernelTooLargeError, TrainingDiverged
-from arm_lab.tensor import Tensor
+from arm_lab.tensor import Tensor, softmax_cross_entropy
 from arm_lab.train import (
     Adam,
     TrainConfig,
@@ -245,6 +246,60 @@ class TestDivergenceHandling:
         )
         with pytest.raises(ConfigError, match="images"):
             train(small_config(), bare)
+
+
+class TestEvaluationCount:
+    """Each completed epoch is scored once, and that score is the run's result."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        module = importlib.import_module("arm_lab.train")  # arm_lab.train is the function
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(module, "evaluate", counting)
+        return module, calls
+
+    @pytest.mark.parametrize("head", ["arm", "gap"])
+    def test_one_evaluation_per_epoch(self, corpus_index, counted, head):
+        _, calls = counted
+        config = small_config(epochs=3)
+        build = build_arm_description if head == "arm" else build_gap_description
+        result = train(config, corpus_index, description=build(corpus_index, config))
+        assert len(calls) == 3
+        last = result["history"][-1]
+        assert (result["wa"], result["ua"]) == (last["wa"], last["ua"])
+        confusion, wa, ua = evaluate(result["network"], result["val_index"], config.batch_size)
+        assert np.array_equal(result["confusion"].counts, confusion.counts)
+        assert (result["wa"], result["ua"]) == (wa, ua)
+
+    @pytest.mark.parametrize("head", ["arm", "gap"])
+    def test_later_divergence_returns_the_rolled_back_score(
+        self, corpus_index, counted, head, monkeypatch
+    ):
+        module, calls = counted
+        losses = []
+
+        def loss_nan_from_epoch_two(logits, labels):
+            loss, grad = softmax_cross_entropy(logits, labels)
+            losses.append(loss)
+            return (float("nan") if len(losses) > 1 else loss), grad
+
+        monkeypatch.setattr(module, "softmax_cross_entropy", loss_nan_from_epoch_two)
+        # one batch holds the whole epoch, so the second loss is epoch 2's
+        config = small_config(epochs=3, batch_size=1024)
+        build = build_arm_description if head == "arm" else build_gap_description
+        result = train(config, corpus_index, description=build(corpus_index, config))
+        assert result["diverged"] and "epoch 2" in result["halt_reason"]
+        assert len(result["history"]) == 1 and len(calls) == 1
+        # what scoring the rolled-back network at the end of the run returns
+        confusion, wa, ua = evaluate(result["network"], result["val_index"], config.batch_size)
+        assert np.array_equal(result["confusion"].counts, confusion.counts)
+        assert (result["wa"], result["ua"]) == (wa, ua)
+        assert (wa, ua) == (result["history"][0]["wa"], result["history"][0]["ua"])
 
 
 class TestComparativeRuns:
