@@ -140,63 +140,34 @@ def arm_param_count(config: ArmConfig) -> dict:
     return counts
 
 
-def arm_shape_trace(config: ArmConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Per-stage output shapes for one sample, input through logits."""
-    spec = config.shuffle_spec
-    fh, fw = config.feature_height, config.feature_width
-    return [
-        ("input", (config.channels, config.height, config.width)),
-        ("arranged", (spec.out_channels, spec.out_height, spec.out_width)),
-        ("weighted", (spec.out_channels, fh, fw)),
-        ("normalized", (spec.out_channels, fh, fw)),
-        ("pooled", (fh, fw)),
-        ("affinity", (fh, fw)),
-        ("flattened", (config.feature_count,)),
-        ("logits", (config.classes,)),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Affinity splitting: running estimate of the generic feature.
 
 
 @dataclass
 class GenericFeatureState:
-    """Smoothing coefficient plus the accumulated generic-feature buffer."""
+    """Smoothing coefficient plus the float32 generic-feature buffer (None until a batch)."""
 
     smoothing: Tensor
-    feature: Tensor | None = None
-    initialized: bool = False
-    learnable: bool = True
+    feature: np.ndarray | None = None
 
     @classmethod
-    def create(cls, init: float = 0.3, learnable: bool = True) -> "GenericFeatureState":
-        return cls(smoothing=Tensor(np.array([init], np.float32)), learnable=learnable)
+    def create(cls, init: float = 0.3) -> "GenericFeatureState":
+        return cls(smoothing=Tensor(np.array([init], np.float32)))
 
     def clamped_smoothing(self) -> float:
         return float(min(1.0, max(0.0, float(self.smoothing.data[0]))))
 
     def clamp_param(self) -> None:
         """Project the stored coefficient back into [0, 1] after an update."""
-        value = float(self.smoothing.data[0])
-        if not 0.0 <= value <= 1.0:
-            self.smoothing.data[0] = np.float32(min(1.0, max(0.0, value)))
+        self.smoothing.data[0] = np.float32(self.clamped_smoothing())
 
 
 @dataclass
 class AffinityCache:
-    train: bool
     lam: float
-    buffer: np.ndarray  # float64, the estimate used in the forward pass
-    batch_mean: np.ndarray | None = None  # float64, train mode only
-
-
-def affinity_batch_mean(features: np.ndarray) -> np.ndarray:
-    """Mean feature map over the batch axis, accumulated in 64-bit."""
-    features = np.asarray(features)
-    if features.ndim != 3 or features.shape[0] < 1:
-        raise DataError(f"expected a non-empty (N, H, W) batch, got {features.shape}")
-    return features.mean(axis=0, dtype=np.float64)
+    buffer: np.ndarray  # float64, the estimate before this batch was folded in
+    batch_mean: np.ndarray  # float64
 
 
 def affinity_update(state: GenericFeatureState, batch_mean: np.ndarray) -> None:
@@ -206,62 +177,50 @@ def affinity_update(state: GenericFeatureState, batch_mean: np.ndarray) -> None:
     run in 64-bit and are rounded to storage precision afterwards.
     """
     bm = np.asarray(batch_mean, dtype=np.float64)
-    if not state.initialized:
-        state.feature = Tensor(bm.astype(np.float32))
-        state.initialized = True
+    if state.feature is None:
+        state.feature = bm.astype(np.float32)
         return
     if bm.shape != state.feature.shape:
         raise DataError(
             f"batch mean shape {bm.shape} does not match buffer {state.feature.shape}"
         )
     lam = state.clamped_smoothing()
-    mixed = lam * bm + (1.0 - lam) * state.feature.data.astype(np.float64)
-    state.feature.data = mixed.astype(np.float32)
+    mixed = lam * bm + (1.0 - lam) * state.feature.astype(np.float64)
+    state.feature = mixed.astype(np.float32)
 
 
 def affinity_forward(
-    state: GenericFeatureState,
-    features: np.ndarray,
-    mode: str = "train",
-    update_state: bool = True,
-) -> tuple[np.ndarray, AffinityCache]:
+    state: GenericFeatureState, features: np.ndarray, mode: str = "train"
+) -> tuple[np.ndarray, AffinityCache | None]:
     """Subtract the generic-feature estimate from each sample's feature map.
 
-    Train mode blends the current batch mean into the estimate before
-    subtracting, and the batch-mean path carries gradient; eval subtracts
-    the frozen buffer. Evaluating (or a stateless train pass) before any
-    batch has initialized the buffer is an error.
+    Train mode subtracts the blend of the batch mean (which carries gradient)
+    and the buffer, folds the batch mean into the buffer, and returns the
+    backward cache. Eval subtracts the buffer, leaves it alone and returns no
+    cache; evaluating before any training batch has initialized it is an error.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
     features = np.asarray(features, dtype=np.float32)
-    if features.ndim != 3:
-        raise DataError(f"expected (N, H, W) features, got shape {features.shape}")
+    if features.ndim != 3 or features.shape[0] < 1:
+        raise DataError(f"expected a non-empty (N, H, W) batch, got shape {features.shape}")
     if mode == "eval":
-        if not state.initialized:
+        if state.feature is None:
             raise UninitializedStateError(
                 "generic feature buffer is empty; run at least one training batch"
             )
-        buffer = state.feature.data.astype(np.float64)
-        out = (features.astype(np.float64) - buffer[None]).astype(np.float32)
-        return out, AffinityCache(train=False, lam=0.0, buffer=buffer)
+        buffer = state.feature.astype(np.float64)
+        return (features.astype(np.float64) - buffer[None]).astype(np.float32), None
 
-    bm = affinity_batch_mean(features)
-    if not state.initialized:
-        if not update_state:
-            raise UninitializedStateError(
-                "generic feature buffer is empty; prime it with a stateful batch"
-            )
-        affinity_update(state, bm)
-        buffer = state.feature.data.astype(np.float64)
-    else:
-        buffer = state.feature.data.astype(np.float64).copy()
-        if update_state:
-            affinity_update(state, bm)
+    bm = features.mean(axis=0, dtype=np.float64)
+    # the estimate before this batch; the first batch initializes it to its own mean
+    before = bm.astype(np.float32) if state.feature is None else state.feature
+    buffer = before.astype(np.float64)
+    affinity_update(state, bm)
     lam = state.clamped_smoothing()
     mixed = lam * bm + (1.0 - lam) * buffer
     out = (features.astype(np.float64) - mixed[None]).astype(np.float32)
-    return out, AffinityCache(train=True, lam=lam, buffer=buffer, batch_mean=bm)
+    return out, AffinityCache(lam=lam, buffer=buffer, batch_mean=bm)
 
 
 def affinity_backward(
@@ -269,8 +228,6 @@ def affinity_backward(
 ) -> tuple[np.ndarray, float]:
     """Gradients w.r.t. the input features and the smoothing coefficient."""
     g = np.asarray(grad_out, dtype=np.float64)
-    if not cache.train:
-        return g.astype(np.float32), 0.0
     grad_features = g - cache.lam * g.mean(axis=0, keepdims=True)
     grad_smoothing = -float(np.sum(g * (cache.batch_mean - cache.buffer)[None]))
     return grad_features.astype(np.float32), grad_smoothing
@@ -340,12 +297,9 @@ class ConvBlock(Module):
         self.shift = Tensor(np.zeros(out_channels, np.float32))
         self.running = RunningStats.init(out_channels)
 
-    def forward(self, x: Tensor, mode: str, update_state: bool):
+    def forward(self, x: Tensor, mode: str):
         conv_out = conv2d_forward(x, self.kernel, self.geom)
-        bn_out, bn_cache = batchnorm(
-            conv_out, self.scale, self.shift, self.running, mode,
-            update_running=update_state,
-        )
+        bn_out, bn_cache = batchnorm(conv_out, self.scale, self.shift, self.running, mode)
         out = relu(bn_out)
         return out, (x, bn_out, bn_cache)
 
@@ -368,21 +322,16 @@ class TinyBackbone(Module):
             raise ConfigError(
                 f"input extent {input_extent} is not divisible by 2^{len(widths)}"
             )
-        self.input_extent = input_extent
-        self.widths = tuple(int(w) for w in widths)
-        self.in_channels = in_channels
-        self.blocks = []
-        prev = in_channels
-        for w in self.widths:
-            self.blocks.append(ConvBlock(rng, prev, w))
-            prev = w
-        self.out_channels = prev
+        widths = [int(w) for w in widths]
+        sizes = [in_channels] + widths
+        self.blocks = [ConvBlock(rng, c_in, c_out) for c_in, c_out in zip(sizes, widths)]
+        self.out_channels = sizes[-1]
         self.out_extent = input_extent // (2 ** len(widths))
 
-    def forward(self, x: Tensor, mode: str, update_state: bool):
+    def forward(self, x: Tensor, mode: str):
         caches = []
         for block in self.blocks:
-            x, cache = block.forward(x, mode, update_state)
+            x, cache = block.forward(x, mode)
             caches.append(cache)
         return x, caches
 
@@ -423,23 +372,18 @@ class ArmHead(Module):
         self.scale = Tensor(np.ones(oc, np.float32))
         self.shift = Tensor(np.zeros(oc, np.float32))
         self.running = RunningStats.init(oc)
-        self.state = GenericFeatureState.create(
-            config.smoothing_init, config.smoothing_learnable
-        )
+        self.state = GenericFeatureState.create(config.smoothing_init)
         f = config.feature_count
         self.fc_weight = Tensor(kaiming_uniform(rng, (config.classes, f), f))
         self.fc_bias = Tensor(np.zeros(config.classes, np.float32))
 
-    def forward(self, x: Tensor, mode: str, update_state: bool):
+    def forward(self, x: Tensor, mode: str):
         cfg = self.config
         arranged = pixel_shuffle(x, cfg.ratio)
         weighted = conv2d_forward(arranged, self.weighting_kernel, cfg.da_geometry)
-        normalized, bn_cache = batchnorm(
-            weighted, self.scale, self.shift, self.running, mode,
-            update_running=update_state,
-        )
+        normalized, bn_cache = batchnorm(weighted, self.scale, self.shift, self.running, mode)
         pooled = channel_mean(normalized)
-        split, aff_cache = affinity_forward(self.state, pooled.data, mode, update_state)
+        split, aff_cache = affinity_forward(self.state, pooled.data, mode)
         flat = Tensor(split.reshape(split.shape[0], cfg.feature_count))
         logits = linear(flat, self.fc_weight, self.fc_bias)
         cache = {
@@ -460,7 +404,7 @@ class ArmHead(Module):
         self.fc_bias.add_grad(grad_b.data)
         grad_split = grad_flat.data.reshape(cache["pooled_shape"])
         grad_pooled, grad_smoothing = affinity_backward(grad_split, cache["aff_cache"])
-        if self.state.learnable:
+        if cfg.smoothing_learnable:
             self.state.smoothing.add_grad(np.array([grad_smoothing], np.float32))
         oc = cfg.shuffle_spec.out_channels
         grad_norm = channel_mean_backward(Tensor(grad_pooled), oc)
@@ -480,21 +424,16 @@ class ArmHead(Module):
 
     def state_dict(self, prefix=""):
         out = super().state_dict(prefix)
-        if self.state.initialized:
-            out[prefix + "generic_feature"] = self.state.feature.data
+        if self.state.feature is not None:
+            out[prefix + "generic_feature"] = self.state.feature
         return out
 
     def load_state_dict(self, values, prefix=""):
         super().load_state_dict(values, prefix)
         key = prefix + "generic_feature"
-        if key in values:
-            fh, fw = self.config.feature_height, self.config.feature_width
-            self.state.feature = Tensor(_taken(values, key, (fh, fw)))
-            self.state.initialized = True
-        else:
-            # exact inverse of state_dict: absent buffer means uninitialized
-            self.state.feature = None
-            self.state.initialized = False
+        shape = (self.config.feature_height, self.config.feature_width)
+        # exact inverse of state_dict: an absent buffer means uninitialized
+        self.state.feature = _taken(values, key, shape) if key in values else None
 
 
 class GapHead(Module):
@@ -503,16 +442,13 @@ class GapHead(Module):
     PARAMS = (("fc_weight", "fc_weight"), ("fc_bias", "fc_bias"))
 
     def __init__(self, rng, channels: int, classes: int):
-        self.channels = channels
-        self.classes = classes
         self.fc_weight = Tensor(kaiming_uniform(rng, (classes, channels), channels))
         self.fc_bias = Tensor(np.zeros(classes, np.float32))
 
-    def forward(self, x: Tensor, mode: str, update_state: bool):
-        n, c, h, w = x.shape
+    def forward(self, x: Tensor, mode: str):
         pooled = Tensor(x.data.mean(axis=(2, 3), dtype=np.float64).astype(np.float32))
         logits = linear(pooled, self.fc_weight, self.fc_bias)
-        return logits, {"pooled": pooled, "spatial": (h, w), "channels": c, "batch": n}
+        return logits, {"pooled": pooled, "shape": x.shape}
 
     def backward(self, grad_logits: Tensor, cache) -> Tensor:
         grad_pooled, grad_w, grad_b = linear_backward(
@@ -520,12 +456,9 @@ class GapHead(Module):
         )
         self.fc_weight.add_grad(grad_w.data)
         self.fc_bias.add_grad(grad_b.data)
-        h, w = cache["spatial"]
+        n, c, h, w = cache["shape"]
         g = grad_pooled.data.astype(np.float64) / (h * w)
-        grad_x = np.broadcast_to(
-            g[:, :, None, None], (cache["batch"], cache["channels"], h, w)
-        )
-        return Tensor(grad_x.astype(np.float32))
+        return Tensor(np.broadcast_to(g[:, :, None, None], (n, c, h, w)).astype(np.float32))
 
 
 class SweepHead(Module):
@@ -547,7 +480,6 @@ class SweepHead(Module):
             shared_single_channel=True,
         )
         out = self.geom.out_extent(extent)
-        self.extent = extent
         self.features = channels * out * out
         self.weighting_kernel = Tensor(
             kaiming_uniform(rng, self.geom.kernel_shape(), kernel * kernel)
@@ -557,7 +489,7 @@ class SweepHead(Module):
         )
         self.fc_bias = Tensor(np.zeros(classes, np.float32))
 
-    def forward(self, x: Tensor, mode: str, update_state: bool):
+    def forward(self, x: Tensor, mode: str):
         weighted = conv2d_forward(x, self.weighting_kernel, self.geom)
         flat = Tensor(weighted.data.reshape(x.shape[0], self.features))
         logits = linear(flat, self.fc_weight, self.fc_bias)
@@ -585,12 +517,13 @@ class Network(Module):
         self.head = head
         self.description = description
 
-    def forward(self, images, mode: str = "train", update_state=None):
-        if update_state is None:
-            update_state = mode == "train"
+    def forward(self, images, mode: str = "train"):
+        """Train updates the running state and returns the backward cache; eval returns None."""
         x = images if isinstance(images, Tensor) else Tensor(images)
-        features, bb_caches = self.backbone.forward(x, mode, update_state)
-        logits, head_cache = self.head.forward(features, mode, update_state)
+        features, bb_caches = self.backbone.forward(x, mode)
+        logits, head_cache = self.head.forward(features, mode)
+        if mode != "train":
+            return logits, None
         return logits, {"backbone": bb_caches, "head": head_cache}
 
     def backward(self, grad_logits: Tensor, cache) -> Tensor:

@@ -57,10 +57,6 @@ class ShuffleSpec:
         return self.in_width * self.ratio
 
     @property
-    def cluster_size(self) -> int:
-        return self.ratio
-
-    @property
     def param_count(self) -> int:
         return 0
 

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .arm import ArmConfig, environment, load_checkpoint
+from .arm import CHECKPOINT_MANIFEST, ArmConfig, environment, load_checkpoint
 from .data import (
     class_counts_report,
     load_dataset,
@@ -294,10 +294,33 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _training_record(manifest: dict, path: str) -> tuple[dict, dict]:
+    """A checkpoint's recorded data split and training result, with field types checked."""
+    extra = manifest.get("extra", {})
+    sections = [extra.get(k, {}) for k in ("data", "result")] if isinstance(extra, dict) else []
+    if len(sections) != 2 or not all(isinstance(section, dict) for section in sections):
+        raise DataError(f"{path}: 'extra' and its 'data' and 'result' must be JSON objects")
+    data_info, trained = sections
+    number, seed = (int, float), data_info.get("split_seed", 0)
+    malformed = [key for key, ok in [
+        ("classes", isinstance(data_info.get("classes", []), list)),
+        ("val_fraction", isinstance(data_info.get("val_fraction", 0.5), number)),
+        ("split_seed", isinstance(seed, int) and seed >= 0),
+        ("wa", isinstance(trained.get("wa", 0.0), number)),
+        ("ua", isinstance(trained.get("ua", 0.0), number)),
+        ("wa/ua pair", ("wa" in trained) == ("ua" in trained)),
+    ] if not ok]
+    if malformed:
+        raise DataError(f"{path}: malformed recorded {', '.join(malformed)}")
+    return data_info, trained
+
+
 def cmd_eval(args) -> int:
     network, manifest = load_checkpoint(args.checkpoint)
+    data_info, trained = _training_record(
+        manifest, os.path.join(args.checkpoint, CHECKPOINT_MANIFEST)
+    )
     index = load_dataset(args.data)
-    data_info = manifest.get("extra", {}).get("data", {})
     stored_classes = data_info.get("classes")
     if stored_classes is not None and list(stored_classes) != list(index.classes):
         raise DataError(
@@ -322,7 +345,6 @@ def cmd_eval(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["wa", "ua"])
         writer.writerow([f"{wa:.6f}", f"{ua:.6f}"])
-    trained = manifest.get("extra", {}).get("result", {})
     checks = {"classes_match": True}
     if args.split == "val" and "wa" in trained:
         checks["matches_training_eval"] = (

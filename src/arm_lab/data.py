@@ -164,16 +164,6 @@ def write_confusion_csv(path, confusion: ConfusionMatrix) -> None:
             writer.writerow([name] + [int(v) for v in row])
 
 
-def read_confusion_csv(path) -> ConfusionMatrix:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}: empty confusion file")
-    classes = rows[0][1:]
-    counts = np.array([[int(v) for v in row[1:]] for row in rows[1:]], dtype=np.int64)
-    return ConfusionMatrix(classes=classes, counts=counts)
-
-
 def _class_pattern_params(rng: np.random.Generator, num_classes: int, extent: int):
     params = []
     margin = extent / 5.0

@@ -17,10 +17,6 @@ class ConfigError(ValueError):
     """Inconsistent or unsupported configuration."""
 
 
-class OracleError(RuntimeError):
-    """A verification oracle hit a non-finite evaluation."""
-
-
 class UninitializedStateError(RuntimeError):
     """A stateful block was used before it collected any statistics."""
 

@@ -26,19 +26,12 @@ class Tensor:
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, data, grad=None):
+    def __init__(self, data):
         arr = np.ascontiguousarray(data, dtype=np.float32)
         if arr.ndim > 4:
             raise GeometryError(f"rank {arr.ndim} exceeds the supported maximum of 4")
         self.data = arr
         self.grad = None
-        if grad is not None:
-            grad = np.ascontiguousarray(grad, dtype=np.float32)
-            if grad.shape != arr.shape:
-                raise GeometryError(
-                    f"grad shape {grad.shape} does not match data shape {arr.shape}"
-                )
-            self.grad = grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -52,27 +45,13 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @classmethod
-    def zeros(cls, shape) -> "Tensor":
-        return cls(np.zeros(shape, dtype=np.float32))
-
-    def copy(self) -> "Tensor":
-        out = Tensor(self.data.copy())
-        if self.grad is not None:
-            out.grad = self.grad.copy()
-        return out
-
-    def ensure_grad(self) -> np.ndarray:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
-
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad.fill(0.0)
 
     def add_grad(self, delta) -> None:
-        self.ensure_grad()
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
         self.grad += np.asarray(delta, dtype=np.float32).reshape(self.data.shape)
 
     def __repr__(self):
@@ -282,7 +261,6 @@ class BatchNormCache:
     xhat: np.ndarray
     inv_std: np.ndarray
     scale: np.ndarray
-    batch_coupled: bool = True
 
 
 def batchnorm(
@@ -293,12 +271,12 @@ def batchnorm(
     mode: str = "train",
     momentum: float = 0.1,
     eps: float = 1e-5,
-    update_running: bool = True,
-) -> tuple[Tensor, BatchNormCache]:
+) -> tuple[Tensor, BatchNormCache | None]:
     """Per-channel standardization followed by the learned affine map.
 
-    Train mode normalizes with batch statistics (biased variance) and folds
-    them into the running estimates; eval mode uses the running estimates.
+    Train mode normalizes with batch statistics (biased variance), folds them
+    into the running estimates and returns the backward cache; eval mode uses
+    the running estimates, leaves them alone and returns no cache.
     """
     if x.ndim != 4:
         raise GeometryError(f"batchnorm expects NCHW input, got rank {x.ndim}")
@@ -313,22 +291,17 @@ def batchnorm(
     if mode == "train":
         mean = data.mean(axis=(0, 2, 3))
         var = data.var(axis=(0, 2, 3))
-        if update_running:
-            running.mean = ((1.0 - momentum) * running.mean + momentum * mean).astype(np.float32)
-            running.var = ((1.0 - momentum) * running.var + momentum * var).astype(np.float32)
+        running.mean = ((1.0 - momentum) * running.mean + momentum * mean).astype(np.float32)
+        running.var = ((1.0 - momentum) * running.var + momentum * var).astype(np.float32)
     else:
         mean = running.mean.astype(np.float64)
         var = running.var.astype(np.float64)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = xhat * scale.data.astype(np.float64)[None, :, None, None]
+    scale64 = scale.data.astype(np.float64)
+    out = xhat * scale64[None, :, None, None]
     out += shift.data.astype(np.float64)[None, :, None, None]
-    cache = BatchNormCache(
-        xhat=xhat,
-        inv_std=inv_std,
-        scale=scale.data.astype(np.float64),
-        batch_coupled=mode == "train",
-    )
+    cache = BatchNormCache(xhat, inv_std, scale64) if mode == "train" else None
     return Tensor(out.astype(np.float32)), cache
 
 
@@ -340,14 +313,11 @@ def batchnorm_backward(
     grad_scale = np.sum(go * xhat, axis=(0, 2, 3))
     grad_shift = np.sum(go, axis=(0, 2, 3))
     dxhat = go * cache.scale[None, :, None, None]
-    if cache.batch_coupled:
-        grad_x = (
-            dxhat
-            - dxhat.mean(axis=(0, 2, 3), keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-        ) * cache.inv_std[None, :, None, None]
-    else:
-        grad_x = dxhat * cache.inv_std[None, :, None, None]
+    grad_x = (
+        dxhat
+        - dxhat.mean(axis=(0, 2, 3), keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
+    ) * cache.inv_std[None, :, None, None]
     return (
         Tensor(grad_x.astype(np.float32)),
         Tensor(grad_scale.astype(np.float32)),

@@ -5,6 +5,8 @@ purpose: these are the reference implementations the fast library paths are
 verified against, so they must not share any code with the package.
 """
 
+import csv
+
 import numpy as np
 
 
@@ -212,3 +214,34 @@ def accuracy_oracle(counts: np.ndarray) -> tuple[float, float]:
         if row.sum() > 0:
             per_class.append(row[i] / row.sum())
     return wa, float(np.mean(per_class))
+
+
+def arm_shape_trace(config) -> list[tuple[str, tuple[int, ...]]]:
+    """Per-stage output shapes of the amendment head for one sample, input through logits.
+
+    Reads only the config's resolved fields; the arithmetic is the definition:
+    arrangement maps (C, H, W) to (C/r^2, H*r, W*r), and the unpadded
+    weighting window of size k and stride s leaves (E - k) // s + 1 positions.
+    """
+    r, k, s = config.ratio, config.da_kernel, config.da_stride
+    oc, ah, aw = config.channels // (r * r), config.height * r, config.width * r
+    fh, fw = (ah - k) // s + 1, (aw - k) // s + 1
+    return [
+        ("input", (config.channels, config.height, config.width)),
+        ("arranged", (oc, ah, aw)),
+        ("weighted", (oc, fh, fw)),
+        ("normalized", (oc, fh, fw)),
+        ("pooled", (fh, fw)),
+        ("affinity", (fh, fw)),
+        ("flattened", (fh * fw,)),
+        ("logits", (config.classes,)),
+    ]
+
+
+def read_confusion_csv(path) -> tuple[list[str], np.ndarray]:
+    """Class names and counts back from a confusion.csv."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    classes = rows[0][1:]
+    counts = np.array([[int(v) for v in row[1:]] for row in rows[1:]], dtype=np.int64)
+    return classes, counts

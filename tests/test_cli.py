@@ -308,6 +308,11 @@ class TestEvalCommand:
             "missing_tensor_file",
             "corpus_manifest_not_json", "corpus_classes_not_list", "corpus_class_not_string",
             "labels_not_utf8",
+            # the recorded split and result; a "_val" case evaluates with --split val
+            "extra_not_object", "extra_not_object_val", "data_not_object",
+            "data_not_object_val", "stored_classes_not_list", "stored_classes_not_list_val",
+            "val_fraction_not_number_val", "split_seed_not_integer_val",
+            "split_seed_negative_val", "wa_not_number_val", "ua_missing_val",
         ],
     )
     def test_malformed_metadata_is_data_error(self, trained, corpus, tmp_path, capsys, damage):
@@ -317,6 +322,15 @@ class TestEvalCommand:
         shutil.copytree(corpus, data)
         manifest = read_manifest(ckpt)
         named = "manifest.json"
+        split = "val" if damage.endswith("_val") else "all"
+        damage = damage.removesuffix("_val")
+        recorded = {
+            "val_fraction_not_number": ("data", "val_fraction", "x"),
+            "split_seed_not_integer": ("data", "split_seed", "x"),
+            "split_seed_negative": ("data", "split_seed", -1),
+            "stored_classes_not_list": ("data", "classes", 5),
+            "wa_not_number": ("result", "wa", "x"),
+        }
         if damage == "manifest_not_json":
             (ckpt / "manifest.json").write_text('{"format": "arm-lab-checkpoint",')
         elif damage == "manifest_not_object":
@@ -347,10 +361,19 @@ class TestEvalCommand:
                 del manifest["network"]["arm"]
             elif damage == "missing_tensor_file":
                 (ckpt / manifest["tensors"]["head.fc_bias"]).unlink()
+            elif damage == "extra_not_object":
+                manifest["extra"] = []
+            elif damage == "data_not_object":
+                manifest["extra"]["data"] = []
+            elif damage == "ua_missing":
+                del manifest["extra"]["result"]["ua"]
+            else:
+                section, key, value = recorded[damage]
+                manifest["extra"][section][key] = value
             (ckpt / "manifest.json").write_text(json.dumps(manifest))
         code = main(
             ["eval", "--checkpoint", str(ckpt), "--data", str(data),
-             "--out", str(tmp_path / "out"), "--split", "all"]
+             "--out", str(tmp_path / "out"), "--split", split]
         )
         err = capsys.readouterr().err
         assert code == 4, err

@@ -14,7 +14,6 @@ from arm_lab.data import (
     metrics,
     mrr_epoch_sample,
     plain_epoch_sample,
-    read_confusion_csv,
     split_index,
     synth_dataset,
     write_confusion_csv,
@@ -22,7 +21,7 @@ from arm_lab.data import (
 from arm_lab.errors import DataError
 from arm_lab.pgm import read_pgm, write_heatmap, write_pgm
 
-from oracles import accuracy_oracle
+from oracles import accuracy_oracle, read_confusion_csv
 
 
 def label_only_index(counts, names=None):
@@ -141,9 +140,9 @@ class TestMetrics:
         assert cm.counts.tolist() == [[1, 1], [1, 2]]
         path = tmp_path / "confusion.csv"
         write_confusion_csv(path, cm)
-        back = read_confusion_csv(path)
-        assert back.classes == ["x", "y"]
-        assert np.array_equal(back.counts, cm.counts)
+        classes, counts = read_confusion_csv(path)
+        assert classes == ["x", "y"]
+        assert np.array_equal(counts, cm.counts)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(DataError, match="empty"):

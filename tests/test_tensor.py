@@ -11,7 +11,6 @@ from arm_lab.tensor import (
     RunningStats,
     Tensor,
     batchnorm,
-    batchnorm_backward,
     channel_mean,
     conv2d_backward,
     conv2d_forward,
@@ -51,7 +50,7 @@ class TestTensor:
             Tensor(np.zeros((1, 1, 1, 1, 1)))
 
     def test_grad_accumulates(self):
-        t = Tensor.zeros((2, 2))
+        t = Tensor(np.zeros((2, 2)))
         t.add_grad(np.ones((2, 2)))
         t.add_grad(np.ones(4))  # flat deltas reshape to the tensor
         assert np.all(t.grad == 2.0)
@@ -236,33 +235,7 @@ class TestBatchNorm:
             np.array([4.0, 0.25]) + 1e-5
         )[None, :, None, None]
         assert np.abs(out.data - expected).max() <= 1e-6
-        assert not cache.batch_coupled
-
-    def test_update_running_false_freezes_statistics(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((3, 2, 4, 4)).astype(np.float32)
-        running = RunningStats.init(2)
-        batchnorm(
-            Tensor(x), Tensor(np.ones(2, np.float32)), Tensor(np.zeros(2, np.float32)),
-            running, update_running=False,
-        )
-        assert np.array_equal(running.mean, np.zeros(2, np.float32))
-        assert np.array_equal(running.var, np.ones(2, np.float32))
-
-    def test_eval_backward_is_decoupled(self):
-        # in eval mode the statistics are constants, so grad is scale/std elementwise
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
-        scale = (1 + 0.1 * rng.standard_normal(3)).astype(np.float32)
-        running = RunningStats.init(3)
-        running.var = np.array([1.0, 2.0, 0.5], np.float32)
-        _, cache = batchnorm(
-            Tensor(x), Tensor(scale), Tensor(np.zeros(3, np.float32)), running, mode="eval"
-        )
-        g = rng.standard_normal(x.shape).astype(np.float32)
-        gx, _, _ = batchnorm_backward(Tensor(g), cache)
-        expected = g * (scale / np.sqrt(running.var + 1e-5))[None, :, None, None]
-        assert np.abs(gx.data - expected).max() <= 1e-6
+        assert cache is None
 
 
 class TestLossAndMisc:
