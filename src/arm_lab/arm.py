@@ -297,20 +297,20 @@ class ConvBlock(Module):
         self.shift = Tensor(np.zeros(out_channels, np.float32))
         self.running = RunningStats.init(out_channels)
 
-    def forward(self, x: Tensor, mode: str):
+    def forward(self, x: np.ndarray, mode: str):
         conv_out = conv2d_forward(x, self.kernel, self.geom)
         bn_out, bn_cache = batchnorm(conv_out, self.scale, self.shift, self.running, mode)
         out = relu(bn_out)
         return out, (x, bn_out, bn_cache)
 
-    def backward(self, grad_out: Tensor, cache) -> Tensor:
+    def backward(self, grad_out: np.ndarray, cache) -> np.ndarray:
         x, bn_out, bn_cache = cache
         grad_bn = relu_backward(grad_out, bn_out)
         grad_conv, grad_scale, grad_shift = batchnorm_backward(grad_bn, bn_cache)
-        self.scale.add_grad(grad_scale.data)
-        self.shift.add_grad(grad_shift.data)
+        self.scale.add_grad(grad_scale)
+        self.shift.add_grad(grad_shift)
         grad_x, grad_kernel = conv2d_backward(grad_conv, x, self.kernel, self.geom)
-        self.kernel.add_grad(grad_kernel.data)
+        self.kernel.add_grad(grad_kernel)
         return grad_x
 
 
@@ -328,14 +328,14 @@ class TinyBackbone(Module):
         self.out_channels = sizes[-1]
         self.out_extent = input_extent // (2 ** len(widths))
 
-    def forward(self, x: Tensor, mode: str):
+    def forward(self, x: np.ndarray, mode: str):
         caches = []
         for block in self.blocks:
             x, cache = block.forward(x, mode)
             caches.append(cache)
         return x, caches
 
-    def backward(self, grad_out: Tensor, caches) -> Tensor:
+    def backward(self, grad_out: np.ndarray, caches) -> np.ndarray:
         for block, cache in zip(reversed(self.blocks), reversed(caches)):
             grad_out = block.backward(grad_out, cache)
         return grad_out
@@ -377,14 +377,14 @@ class ArmHead(Module):
         self.fc_weight = Tensor(kaiming_uniform(rng, (config.classes, f), f))
         self.fc_bias = Tensor(np.zeros(config.classes, np.float32))
 
-    def forward(self, x: Tensor, mode: str):
+    def forward(self, x: np.ndarray, mode: str):
         cfg = self.config
         arranged = pixel_shuffle(x, cfg.ratio)
         weighted = conv2d_forward(arranged, self.weighting_kernel, cfg.da_geometry)
         normalized, bn_cache = batchnorm(weighted, self.scale, self.shift, self.running, mode)
         pooled = channel_mean(normalized)
-        split, aff_cache = affinity_forward(self.state, pooled.data, mode)
-        flat = Tensor(split.reshape(split.shape[0], cfg.feature_count))
+        split, aff_cache = affinity_forward(self.state, pooled, mode)
+        flat = split.reshape(split.shape[0], cfg.feature_count)
         logits = linear(flat, self.fc_weight, self.fc_bias)
         cache = {
             "arranged": arranged,
@@ -395,28 +395,28 @@ class ArmHead(Module):
         }
         return logits, cache
 
-    def backward(self, grad_logits: Tensor, cache) -> Tensor:
+    def backward(self, grad_logits: np.ndarray, cache) -> np.ndarray:
         cfg = self.config
         grad_flat, grad_w, grad_b = linear_backward(
             grad_logits, cache["flat"], self.fc_weight
         )
-        self.fc_weight.add_grad(grad_w.data)
-        self.fc_bias.add_grad(grad_b.data)
-        grad_split = grad_flat.data.reshape(cache["pooled_shape"])
+        self.fc_weight.add_grad(grad_w)
+        self.fc_bias.add_grad(grad_b)
+        grad_split = grad_flat.reshape(cache["pooled_shape"])
         grad_pooled, grad_smoothing = affinity_backward(grad_split, cache["aff_cache"])
         if cfg.smoothing_learnable:
             self.state.smoothing.add_grad(np.array([grad_smoothing], np.float32))
         oc = cfg.shuffle_spec.out_channels
-        grad_norm = channel_mean_backward(Tensor(grad_pooled), oc)
+        grad_norm = channel_mean_backward(grad_pooled, oc)
         grad_weighted, grad_scale, grad_shift = batchnorm_backward(
             grad_norm, cache["bn_cache"]
         )
-        self.scale.add_grad(grad_scale.data)
-        self.shift.add_grad(grad_shift.data)
+        self.scale.add_grad(grad_scale)
+        self.shift.add_grad(grad_shift)
         grad_arranged, grad_kernel = conv2d_backward(
             grad_weighted, cache["arranged"], self.weighting_kernel, cfg.da_geometry
         )
-        self.weighting_kernel.add_grad(grad_kernel.data)
+        self.weighting_kernel.add_grad(grad_kernel)
         return pixel_unshuffle(grad_arranged, cfg.ratio)
 
     def post_step(self):
@@ -445,20 +445,20 @@ class GapHead(Module):
         self.fc_weight = Tensor(kaiming_uniform(rng, (classes, channels), channels))
         self.fc_bias = Tensor(np.zeros(classes, np.float32))
 
-    def forward(self, x: Tensor, mode: str):
-        pooled = Tensor(x.data.mean(axis=(2, 3), dtype=np.float64).astype(np.float32))
+    def forward(self, x: np.ndarray, mode: str):
+        pooled = x.mean(axis=(2, 3), dtype=np.float64).astype(np.float32)
         logits = linear(pooled, self.fc_weight, self.fc_bias)
         return logits, {"pooled": pooled, "shape": x.shape}
 
-    def backward(self, grad_logits: Tensor, cache) -> Tensor:
+    def backward(self, grad_logits: np.ndarray, cache) -> np.ndarray:
         grad_pooled, grad_w, grad_b = linear_backward(
             grad_logits, cache["pooled"], self.fc_weight
         )
-        self.fc_weight.add_grad(grad_w.data)
-        self.fc_bias.add_grad(grad_b.data)
+        self.fc_weight.add_grad(grad_w)
+        self.fc_bias.add_grad(grad_b)
         n, c, h, w = cache["shape"]
-        g = grad_pooled.data.astype(np.float64) / (h * w)
-        return Tensor(np.broadcast_to(g[:, :, None, None], (n, c, h, w)).astype(np.float32))
+        g = grad_pooled.astype(np.float64) / (h * w)
+        return np.broadcast_to(g[:, :, None, None], (n, c, h, w)).astype(np.float32, order="C")
 
 
 class SweepHead(Module):
@@ -489,23 +489,23 @@ class SweepHead(Module):
         )
         self.fc_bias = Tensor(np.zeros(classes, np.float32))
 
-    def forward(self, x: Tensor, mode: str):
+    def forward(self, x: np.ndarray, mode: str):
         weighted = conv2d_forward(x, self.weighting_kernel, self.geom)
-        flat = Tensor(weighted.data.reshape(x.shape[0], self.features))
+        flat = weighted.reshape(x.shape[0], self.features)
         logits = linear(flat, self.fc_weight, self.fc_bias)
         return logits, {"x": x, "flat": flat, "weighted_shape": weighted.shape}
 
-    def backward(self, grad_logits: Tensor, cache) -> Tensor:
+    def backward(self, grad_logits: np.ndarray, cache) -> np.ndarray:
         grad_flat, grad_w, grad_b = linear_backward(
             grad_logits, cache["flat"], self.fc_weight
         )
-        self.fc_weight.add_grad(grad_w.data)
-        self.fc_bias.add_grad(grad_b.data)
-        grad_weighted = Tensor(grad_flat.data.reshape(cache["weighted_shape"]))
+        self.fc_weight.add_grad(grad_w)
+        self.fc_bias.add_grad(grad_b)
+        grad_weighted = grad_flat.reshape(cache["weighted_shape"])
         grad_x, grad_kernel = conv2d_backward(
             grad_weighted, cache["x"], self.weighting_kernel, self.geom
         )
-        self.weighting_kernel.add_grad(grad_kernel.data)
+        self.weighting_kernel.add_grad(grad_kernel)
         return grad_x
 
 
@@ -519,14 +519,14 @@ class Network(Module):
 
     def forward(self, images, mode: str = "train"):
         """Train updates the running state and returns the backward cache; eval returns None."""
-        x = images if isinstance(images, Tensor) else Tensor(images)
+        x = np.ascontiguousarray(images, np.float32)
         features, bb_caches = self.backbone.forward(x, mode)
         logits, head_cache = self.head.forward(features, mode)
         if mode != "train":
             return logits, None
         return logits, {"backbone": bb_caches, "head": head_cache}
 
-    def backward(self, grad_logits: Tensor, cache) -> Tensor:
+    def backward(self, grad_logits: np.ndarray, cache) -> np.ndarray:
         grad = self.head.backward(grad_logits, cache["head"])
         return self.backbone.backward(grad, cache["backbone"])
 
@@ -612,7 +612,7 @@ def save_checkpoint(out_dir, network: Network, extra: dict | None = None) -> Non
     files = {}
     for name, data in network.state_dict().items():
         fname = name.replace(".", "_") + ".ten"
-        save_tensor(os.path.join(out_dir, fname), Tensor(data))
+        save_tensor(os.path.join(out_dir, fname), data)
         files[name] = fname
     manifest = {
         "format": "arm-lab-checkpoint",
@@ -645,7 +645,11 @@ def load_checkpoint(ckpt_dir) -> tuple[Network, dict]:
         path = os.path.join(ckpt_dir, str(fname))
         if not os.path.isfile(path):
             raise DataError(f"{manifest_path}: missing tensor file {fname!r}")
-        values[name] = load_tensor(path).data
+        values[name] = data = load_tensor(path)
+        if not np.isfinite(data).all():
+            raise DataError(f"{manifest_path}: tensor {name!r} holds a non-finite value")
+        if name.endswith("running_var") and (data < 0).any():
+            raise DataError(f"{manifest_path}: tensor {name!r} holds a negative variance")
     network.load_state_dict(values)
     undeclared = sorted(set(values) - set(network.state_dict()))
     if undeclared:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .tensor import Tensor
 
 
 def max_shuffle_ratio(channels: int) -> int:
@@ -56,50 +55,36 @@ class ShuffleSpec:
     def out_width(self) -> int:
         return self.in_width * self.ratio
 
-    @property
-    def param_count(self) -> int:
-        return 0
 
-
-def _shuffle_array(a: np.ndarray, r: int) -> np.ndarray:
-    n, c, h, w = a.shape
-    oc = c // (r * r)
-    # (n, oc, dy, dx, h, w) -> (n, oc, h, dy, w, dx)
-    v = a.reshape(n, oc, r, r, h, w)
-    return v.transpose(0, 1, 4, 2, 5, 3).reshape(n, oc, h * r, w * r)
-
-
-def _unshuffle_array(a: np.ndarray, r: int) -> np.ndarray:
-    n, c, hr, wr = a.shape
-    h, w = hr // r, wr // r
-    v = a.reshape(n, c, h, r, w, r)
-    return v.transpose(0, 1, 3, 5, 2, 4).reshape(n, c * r * r, h, w)
-
-
-def pixel_shuffle(x: Tensor, ratio: int) -> Tensor:
+def pixel_shuffle(x: np.ndarray, ratio: int) -> np.ndarray:
     """Move input element (n, c*r^2 + dy*r + dx, i, j) to (n, c, i*r + dy, j*r + dx).
 
     Pure data movement: a bijection on elements, no arithmetic on values.
     """
     if x.ndim != 4:
         raise GeometryError(f"pixel_shuffle expects NCHW input, got rank {x.ndim}")
-    c = x.shape[1]
+    n, c, h, w = x.shape
     if ratio < 1:
         raise GeometryError(f"ratio must be >= 1, got {ratio}")
     if c % (ratio * ratio) != 0:
         raise GeometryError(f"ratio^2={ratio ** 2} does not divide channel count {c}")
-    return Tensor(_shuffle_array(x.data, ratio))
+    r, oc = ratio, c // (ratio * ratio)
+    # (n, oc, dy, dx, h, w) -> (n, oc, h, dy, w, dx)
+    v = x.reshape(n, oc, r, r, h, w)
+    return v.transpose(0, 1, 4, 2, 5, 3).reshape(n, oc, h * r, w * r)
 
 
-def pixel_unshuffle(y: Tensor, ratio: int) -> Tensor:
+def pixel_unshuffle(y: np.ndarray, ratio: int) -> np.ndarray:
     """Exact inverse of pixel_shuffle; also its adjoint, so it backpropagates it."""
     if y.ndim != 4:
         raise GeometryError(f"pixel_unshuffle expects NCHW input, got rank {y.ndim}")
     if ratio < 1:
         raise GeometryError(f"ratio must be >= 1, got {ratio}")
-    _, _, h, w = y.shape
-    if h % ratio != 0 or w % ratio != 0:
+    n, c, hr, wr = y.shape
+    if hr % ratio != 0 or wr % ratio != 0:
         raise GeometryError(
-            f"spatial extents ({h}, {w}) are not divisible by ratio {ratio}"
+            f"spatial extents ({hr}, {wr}) are not divisible by ratio {ratio}"
         )
-    return Tensor(_unshuffle_array(y.data, ratio))
+    r, h, w = ratio, hr // ratio, wr // ratio
+    v = y.reshape(n, c, h, r, w, r)
+    return v.transpose(0, 1, 3, 5, 2, 4).reshape(n, c * r * r, h, w)

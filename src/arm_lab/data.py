@@ -272,10 +272,10 @@ def _load_image(root: str, rel: str) -> np.ndarray:
     if not os.path.exists(path):
         raise DataError(f"missing image file {rel!r}")
     if rel.endswith(".ten"):
-        tensor = load_tensor(path)
-        if tensor.ndim != 2:
+        image = load_tensor(path)
+        if image.ndim != 2:
             raise DataError(f"{rel}: expected a rank-2 tensor image")
-        return tensor.data.astype(np.float32)
+        return image
     return read_pgm(path).astype(np.float32) / 255.0
 
 

@@ -1,6 +1,7 @@
-"""Dense NCHW tensors and the layer primitives used by the ARM network.
+"""Parameters and the array primitives used by the ARM network.
 
-Values are stored as 32-bit floats; every reduction (convolution sums,
+Activations and gradients flow between layers as float32 NCHW arrays; only
+learnable parameters are `Tensor`s. Every reduction (convolution sums,
 normalization statistics, losses) accumulates in 64-bit before the result
 is rounded back to storage precision. Every convolution is one dense GEMM
 over a tap-major im2col matrix; a shared single-channel kernel is the dense
@@ -22,7 +23,7 @@ TEN_VERSION = 1
 
 
 class Tensor:
-    """Dense array of rank <= 4 with an optional same-shape gradient buffer."""
+    """A parameter: float32 data of rank <= 4 plus its accumulated gradient."""
 
     __slots__ = ("data", "grad")
 
@@ -37,14 +38,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad.fill(0.0)
@@ -58,9 +51,10 @@ class Tensor:
         return f"Tensor(shape={self.shape}, grad={'yes' if self.grad is not None else 'no'})"
 
 
-def save_tensor(path, tensor: Tensor) -> None:
-    """Write a tensor in the .ten container (magic, version, rank, extents, f32 payload)."""
-    data = tensor.data
+def save_tensor(path, data: np.ndarray) -> None:
+    """Write an array in the .ten container (magic, version, rank, extents, f32 payload)."""
+    if data.ndim > 4:
+        raise GeometryError(f"rank {data.ndim} exceeds the supported maximum of 4")
     with open(path, "wb") as fh:
         fh.write(TEN_MAGIC)
         fh.write(struct.pack("<BB", TEN_VERSION, data.ndim))
@@ -69,7 +63,8 @@ def save_tensor(path, tensor: Tensor) -> None:
         fh.write(data.astype("<f4").tobytes())
 
 
-def load_tensor(path) -> Tensor:
+def load_tensor(path) -> np.ndarray:
+    """Read a .ten file as a float32 array."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != TEN_MAGIC:
@@ -95,7 +90,7 @@ def load_tensor(path) -> Tensor:
             f"{path}: truncated payload ({len(raw) - offset} bytes for {count} values)"
         )
     payload = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-    return Tensor(payload.reshape(shape))
+    return payload.astype(np.float32).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -149,7 +144,7 @@ class ConvGeometry:
         return (self.out_channels, self.in_channels, self.kernel, self.kernel)
 
 
-def _conv_operands(x: Tensor, kernel: Tensor, geom: ConvGeometry):
+def _conv_operands(x: np.ndarray, kernel: Tensor, geom: ConvGeometry):
     """Check the shapes; return the dense conv's planes, kernel matrix and output extents.
 
     The planes are (B, C', H, W) and the kernel matrix float64 (O', C'*k*k):
@@ -169,7 +164,7 @@ def _conv_operands(x: Tensor, kernel: Tensor, geom: ConvGeometry):
         )
     out_h = geom.out_extent(h, "height")
     out_w = geom.out_extent(w, "width")
-    planes = x.data.reshape(-1, 1 if geom.shared_single_channel else c, h, w)
+    planes = x.reshape(-1, 1 if geom.shared_single_channel else c, h, w)
     kmat = kernel.data.reshape(-1, planes.shape[1] * geom.kernel**2).astype(np.float64)
     return planes, kmat, out_h, out_w
 
@@ -194,17 +189,17 @@ def _im2col(planes: np.ndarray, geom: ConvGeometry, out_h: int, out_w: int) -> n
     return cols.reshape(c * k * k, b * out_h * out_w)
 
 
-def conv2d_forward(x: Tensor, kernel: Tensor, geom: ConvGeometry) -> Tensor:
+def conv2d_forward(x: np.ndarray, kernel: Tensor, geom: ConvGeometry) -> np.ndarray:
     """Cross-correlate x with the kernel; padding logically extends x with zeros."""
     planes, kmat, out_h, out_w = _conv_operands(x, kernel, geom)
     out = kmat @ _im2col(planes, geom, out_h, out_w)
     out = out.reshape(-1, planes.shape[0], out_h, out_w).transpose(1, 0, 2, 3)
-    return Tensor(out.astype(np.float32, order="C").reshape(x.shape[0], -1, out_h, out_w))
+    return out.astype(np.float32, order="C").reshape(x.shape[0], -1, out_h, out_w)
 
 
 def conv2d_backward(
-    grad_out: Tensor, x: Tensor, kernel: Tensor, geom: ConvGeometry
-) -> tuple[Tensor, Tensor]:
+    grad_out: np.ndarray, x: np.ndarray, kernel: Tensor, geom: ConvGeometry
+) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of sum(grad_out * conv2d_forward(x)) w.r.t. x and the kernel.
 
     With go the output gradient as an (O, B*out_h*out_w) matrix, the kernel
@@ -220,7 +215,7 @@ def conv2d_backward(
         )
     b, ci, h, w = planes.shape
     k, s, p = geom.kernel, geom.stride, geom.padding
-    go = grad_out.data.reshape(b, -1, out_h, out_w).transpose(1, 0, 2, 3)
+    go = grad_out.reshape(b, -1, out_h, out_w).transpose(1, 0, 2, 3)
     go = go.astype(np.float64, order="C").reshape(kmat.shape[0], -1)
     cols = _im2col(planes, geom, out_h, out_w)
     grad_kernel = (go @ cols.T).reshape(kernel.shape)
@@ -233,15 +228,15 @@ def conv2d_backward(
             tap += grad_cols[:, ky, kx]
     grad_x = grad_padded[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
     grad_x = grad_x.astype(np.float32, order="C").reshape(x.shape)
-    return Tensor(grad_x), Tensor(grad_kernel.astype(np.float32))
+    return grad_x, grad_kernel.astype(np.float32)
 
 
-def relu(x: Tensor) -> Tensor:
-    return Tensor(np.maximum(x.data, 0.0))
+def relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
 
 
-def relu_backward(grad_out: Tensor, x: Tensor) -> Tensor:
-    return Tensor(np.where(x.data > 0.0, grad_out.data, 0.0))
+def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, grad_out, 0.0)
 
 
 @dataclass
@@ -264,14 +259,14 @@ class BatchNormCache:
 
 
 def batchnorm(
-    x: Tensor,
+    x: np.ndarray,
     scale: Tensor,
     shift: Tensor,
     running: RunningStats,
     mode: str = "train",
     momentum: float = 0.1,
     eps: float = 1e-5,
-) -> tuple[Tensor, BatchNormCache | None]:
+) -> tuple[np.ndarray, BatchNormCache | None]:
     """Per-channel standardization followed by the learned affine map.
 
     Train mode normalizes with batch statistics (biased variance), folds them
@@ -287,7 +282,7 @@ def batchnorm(
         )
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    data = x.data.astype(np.float64)
+    data = x.astype(np.float64)
     if mode == "train":
         mean = data.mean(axis=(0, 2, 3))
         var = data.var(axis=(0, 2, 3))
@@ -302,13 +297,13 @@ def batchnorm(
     out = xhat * scale64[None, :, None, None]
     out += shift.data.astype(np.float64)[None, :, None, None]
     cache = BatchNormCache(xhat, inv_std, scale64) if mode == "train" else None
-    return Tensor(out.astype(np.float32)), cache
+    return out.astype(np.float32), cache
 
 
 def batchnorm_backward(
-    grad_out: Tensor, cache: BatchNormCache
-) -> tuple[Tensor, Tensor, Tensor]:
-    go = grad_out.data.astype(np.float64)
+    grad_out: np.ndarray, cache: BatchNormCache
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    go = grad_out.astype(np.float64)
     xhat = cache.xhat
     grad_scale = np.sum(go * xhat, axis=(0, 2, 3))
     grad_shift = np.sum(go, axis=(0, 2, 3))
@@ -318,57 +313,50 @@ def batchnorm_backward(
         - dxhat.mean(axis=(0, 2, 3), keepdims=True)
         - xhat * (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
     ) * cache.inv_std[None, :, None, None]
-    return (
-        Tensor(grad_x.astype(np.float32)),
-        Tensor(grad_scale.astype(np.float32)),
-        Tensor(grad_shift.astype(np.float32)),
-    )
+    return grad_x.astype(np.float32), grad_scale.astype(np.float32), grad_shift.astype(np.float32)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+def linear(x: np.ndarray, weight: Tensor, bias: Tensor) -> np.ndarray:
     """Affine map: x (N, F) times weight (K, F) transposed, plus bias (K,)."""
     if x.ndim != 2:
         raise GeometryError(f"linear expects (N, features) input, got rank {x.ndim}")
     n, f = x.shape
-    if weight.ndim != 2 or weight.shape[1] != f:
+    if len(weight.shape) != 2 or weight.shape[1] != f:
         raise GeometryError(
             f"weight shape {weight.shape} incompatible with feature length {f}"
         )
     k = weight.shape[0]
     if bias.shape != (k,):
         raise GeometryError(f"bias shape {bias.shape} must be ({k},)")
-    out = x.data.astype(np.float64) @ weight.data.astype(np.float64).T
+    out = x.astype(np.float64) @ weight.data.astype(np.float64).T
     out += bias.data.astype(np.float64)
-    return Tensor(out.astype(np.float32))
+    return out.astype(np.float32)
 
 
 def linear_backward(
-    grad_out: Tensor, x: Tensor, weight: Tensor
-) -> tuple[Tensor, Tensor, Tensor]:
-    go = grad_out.data.astype(np.float64)
+    grad_out: np.ndarray, x: np.ndarray, weight: Tensor
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    go = grad_out.astype(np.float64)
     grad_x = go @ weight.data.astype(np.float64)
-    grad_w = go.T @ x.data.astype(np.float64)
+    grad_w = go.T @ x.astype(np.float64)
     grad_b = go.sum(axis=0)
-    return (
-        Tensor(grad_x.astype(np.float32)),
-        Tensor(grad_w.astype(np.float32)),
-        Tensor(grad_b.astype(np.float32)),
-    )
+    return grad_x.astype(np.float32), grad_w.astype(np.float32), grad_b.astype(np.float32)
 
 
-def channel_mean(x: Tensor) -> Tensor:
+def channel_mean(x: np.ndarray) -> np.ndarray:
     """Arithmetic mean over the channel axis: (N, C, H, W) -> (N, H, W)."""
     if x.ndim != 4:
         raise GeometryError(f"channel_mean expects NCHW input, got rank {x.ndim}")
-    return Tensor(x.data.mean(axis=1, dtype=np.float64).astype(np.float32))
+    return x.mean(axis=1, dtype=np.float64).astype(np.float32)
 
 
-def channel_mean_backward(grad_out: Tensor, channels: int) -> Tensor:
-    go = grad_out.data.astype(np.float64) / channels
-    return Tensor(np.broadcast_to(go[:, None], (go.shape[0], channels) + go.shape[1:]).astype(np.float32))
+def channel_mean_backward(grad_out: np.ndarray, channels: int) -> np.ndarray:
+    go = grad_out.astype(np.float64) / channels
+    grad_x = np.broadcast_to(go[:, None], (go.shape[0], channels) + go.shape[1:])
+    return grad_x.astype(np.float32, order="C")
 
 
-def softmax_cross_entropy(logits: Tensor, labels) -> tuple[float, Tensor]:
+def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Mean negative log softmax at the label, with the analytic logit gradient.
 
     Stabilized by max subtraction; loss and gradient are accumulated in 64-bit.
@@ -379,10 +367,11 @@ def softmax_cross_entropy(logits: Tensor, labels) -> tuple[float, Tensor]:
     n, k = logits.shape
     if labels.shape != (n,):
         raise GeometryError(f"labels shape {labels.shape} must be ({n},)")
-    for idx, lab in enumerate(labels):
-        if not 0 <= int(lab) < k:
-            raise DataError(f"label {int(lab)} out of range [0, {k}) at sample {idx}")
-    z = logits.data.astype(np.float64)
+    bad = np.flatnonzero((labels < 0) | (labels >= k))
+    if bad.size:
+        idx = bad[0]
+        raise DataError(f"label {int(labels[idx])} out of range [0, {k}) at sample {idx}")
+    z = logits.astype(np.float64)
     z = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
     log_probs = z - log_norm
@@ -390,7 +379,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> tuple[float, Tensor]:
     grad = np.exp(log_probs)
     grad[np.arange(n), labels] -= 1.0
     grad /= n
-    return loss, Tensor(grad.astype(np.float32))
+    return loss, grad.astype(np.float32)
 
 
 def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

@@ -114,7 +114,7 @@ def evaluate(network: Network, index: DatasetIndex, batch_size: int = 256):
     for start in range(0, index.n_samples, batch_size):
         stop = min(start + batch_size, index.n_samples)
         logits, _ = network.forward(index.images[start:stop], mode="eval")
-        predictions = np.argmax(logits.data, axis=1)
+        predictions = np.argmax(logits, axis=1)
         cm.update(index.labels[start:stop], predictions)
     wa, ua, _ = metrics(cm)
     return cm, wa, ua
@@ -278,7 +278,6 @@ def train_sweep_point(
         max(1, out_channels // 2 ** (downsampling_blocks - 1 - i))
         for i in range(downsampling_blocks)
     )
-    config = dataclasses.replace(base_config, backbone_widths=widths)
     description = {
         "type": "sweep",
         "input_extent": int(index.images.shape[-1]),
@@ -286,7 +285,7 @@ def train_sweep_point(
         "classes": len(index.classes),
         "kernel": int(kernel),
     }
-    result = train(config, index, description=description)
+    result = train(base_config, index, description=description)
     return {"k": int(kernel), "wa": result["wa"], "ua": result["ua"]}
 
 

@@ -38,7 +38,7 @@ class OracleError(RuntimeError):
     """A verification oracle hit a non-finite evaluation."""
 
 
-def finite_diff_grad(f, x: Tensor, step: float = 1e-3) -> np.ndarray:
+def finite_diff_grad(f, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
     """Central-difference gradient of a scalar function, one coordinate at a time.
 
     Divides by the realized float32 step rather than the nominal one so the
@@ -46,7 +46,7 @@ def finite_diff_grad(f, x: Tensor, step: float = 1e-3) -> np.ndarray:
     """
     if step <= 0:
         raise OracleError(f"step must be positive, got {step}")
-    base = x.data.copy()
+    base = x.copy()
     flat = base.reshape(-1)
     grad = np.zeros(flat.shape, dtype=np.float64)
     probe = base.copy()
@@ -56,9 +56,9 @@ def finite_diff_grad(f, x: Tensor, step: float = 1e-3) -> np.ndarray:
         hi = np.float32(orig + step)
         lo = np.float32(orig - step)
         probe_flat[i] = hi
-        f_hi = float(f(Tensor(probe)))
+        f_hi = float(f(probe))
         probe_flat[i] = lo
-        f_lo = float(f(Tensor(probe)))
+        f_lo = float(f(probe))
         probe_flat[i] = orig
         if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
             raise OracleError(f"non-finite evaluation at coordinate {i}")
@@ -75,14 +75,14 @@ def _rel_error(fd: np.ndarray, analytic: np.ndarray) -> float:
 
 def _probe(forward, analytic_fn, x0: np.ndarray, rng, step=1e-3) -> float:
     """Compare FD and analytic gradients of sum(w * forward(x)) at x0."""
-    out0 = forward(Tensor(x0))
+    out0 = forward(x0)
     weights = rng.standard_normal(out0.shape)
 
-    def loss(t: Tensor) -> float:
-        return float(np.sum(forward(t).data.astype(np.float64) * weights))
+    def loss(t: np.ndarray) -> float:
+        return float(np.sum(forward(t).astype(np.float64) * weights))
 
-    fd = finite_diff_grad(loss, Tensor(x0), step=step)
-    analytic = analytic_fn(Tensor(weights.astype(np.float32)))
+    fd = finite_diff_grad(loss, x0, step=step)
+    analytic = analytic_fn(weights.astype(np.float32))
     return _rel_error(fd, analytic)
 
 
@@ -105,7 +105,7 @@ def case_conv_input(rng) -> float:
     x, kernel, geom = _conv_setup(rng, shared=False)
     return _probe(
         lambda t: conv2d_forward(t, Tensor(kernel), geom),
-        lambda w: conv2d_backward(w, Tensor(x), Tensor(kernel), geom)[0].data,
+        lambda w: conv2d_backward(w, x, Tensor(kernel), geom)[0],
         x, rng,
     )
 
@@ -113,8 +113,8 @@ def case_conv_input(rng) -> float:
 def case_conv_kernel(rng) -> float:
     x, kernel, geom = _conv_setup(rng, shared=False)
     return _probe(
-        lambda t: conv2d_forward(Tensor(x), t, geom),
-        lambda w: conv2d_backward(w, Tensor(x), Tensor(kernel), geom)[1].data,
+        lambda t: conv2d_forward(x, Tensor(t), geom),
+        lambda w: conv2d_backward(w, x, Tensor(kernel), geom)[1],
         kernel, rng,
     )
 
@@ -123,7 +123,7 @@ def case_shared_conv_input(rng) -> float:
     x, kernel, geom = _conv_setup(rng, shared=True)
     return _probe(
         lambda t: conv2d_forward(t, Tensor(kernel), geom),
-        lambda w: conv2d_backward(w, Tensor(x), Tensor(kernel), geom)[0].data,
+        lambda w: conv2d_backward(w, x, Tensor(kernel), geom)[0],
         x, rng,
     )
 
@@ -131,8 +131,8 @@ def case_shared_conv_input(rng) -> float:
 def case_shared_conv_kernel(rng) -> float:
     x, kernel, geom = _conv_setup(rng, shared=True)
     return _probe(
-        lambda t: conv2d_forward(Tensor(x), t, geom),
-        lambda w: conv2d_backward(w, Tensor(x), Tensor(kernel), geom)[1].data,
+        lambda t: conv2d_forward(x, Tensor(t), geom),
+        lambda w: conv2d_backward(w, x, Tensor(kernel), geom)[1],
         kernel, rng,
     )
 
@@ -150,20 +150,21 @@ def _bn_setup(rng):
 def _bn_case(rng, which: str) -> float:
     x, scale, shift, c = _bn_setup(rng)
 
-    def forward(t: Tensor) -> Tensor:
-        parts = {"x": Tensor(x), "scale": Tensor(scale), "shift": Tensor(shift)}
+    def forward(t: np.ndarray) -> np.ndarray:
+        parts = {"x": x, "scale": scale, "shift": shift}
         parts[which] = t
         out, _ = batchnorm(
-            parts["x"], parts["scale"], parts["shift"], RunningStats.init(c), mode="train"
+            parts["x"], Tensor(parts["scale"]), Tensor(parts["shift"]), RunningStats.init(c),
+            mode="train",
         )
         return out
 
-    def analytic(w: Tensor):
+    def analytic(w: np.ndarray):
         _, cache = batchnorm(
-            Tensor(x), Tensor(scale), Tensor(shift), RunningStats.init(c), mode="train"
+            x, Tensor(scale), Tensor(shift), RunningStats.init(c), mode="train"
         )
         gx, gs, gb = batchnorm_backward(w, cache)
-        return {"x": gx, "scale": gs, "shift": gb}[which].data
+        return {"x": gx, "scale": gs, "shift": gb}[which]
 
     x0 = {"x": x, "scale": scale, "shift": shift}[which]
     return _probe(forward, analytic, x0, rng)
@@ -195,7 +196,7 @@ def case_linear_input(rng) -> float:
     x, weight, bias = _linear_setup(rng)
     return _probe(
         lambda t: linear(t, Tensor(weight), Tensor(bias)),
-        lambda w: linear_backward(w, Tensor(x), Tensor(weight))[0].data,
+        lambda w: linear_backward(w, x, Tensor(weight))[0],
         x, rng,
     )
 
@@ -203,8 +204,8 @@ def case_linear_input(rng) -> float:
 def case_linear_weight(rng) -> float:
     x, weight, bias = _linear_setup(rng)
     return _probe(
-        lambda t: linear(Tensor(x), t, Tensor(bias)),
-        lambda w: linear_backward(w, Tensor(x), Tensor(weight))[1].data,
+        lambda t: linear(x, Tensor(t), Tensor(bias)),
+        lambda w: linear_backward(w, x, Tensor(weight))[1],
         weight, rng,
     )
 
@@ -212,8 +213,8 @@ def case_linear_weight(rng) -> float:
 def case_linear_bias(rng) -> float:
     x, weight, bias = _linear_setup(rng)
     return _probe(
-        lambda t: linear(Tensor(x), Tensor(weight), t),
-        lambda w: linear_backward(w, Tensor(x), Tensor(weight))[2].data,
+        lambda t: linear(x, Tensor(weight), Tensor(t)),
+        lambda w: linear_backward(w, x, Tensor(weight))[2],
         bias, rng,
     )
 
@@ -222,7 +223,7 @@ def case_channel_mean(rng) -> float:
     n, c, h = int(rng.integers(2, 5)), int(rng.integers(2, 7)), int(rng.integers(3, 7))
     x = rng.standard_normal((n, c, h, h)).astype(np.float32)
     return _probe(
-        channel_mean, lambda w: channel_mean_backward(w, c).data, x, rng,
+        channel_mean, lambda w: channel_mean_backward(w, c), x, rng,
     )
 
 
@@ -232,7 +233,7 @@ def case_relu(rng) -> float:
     sign = rng.choice([-1.0, 1.0], size=(n, c, h, h))
     x = (sign * rng.uniform(0.25, 1.5, size=(n, c, h, h))).astype(np.float32)
     return _probe(
-        relu, lambda w: relu_backward(w, Tensor(x)).data, x, rng,
+        relu, lambda w: relu_backward(w, x), x, rng,
     )
 
 
@@ -243,7 +244,7 @@ def case_arrangement(rng) -> float:
     x = rng.standard_normal((n, oc * r * r, h, h)).astype(np.float32)
     return _probe(
         lambda t: pixel_shuffle(t, r),
-        lambda w: pixel_unshuffle(w, r).data,
+        lambda w: pixel_unshuffle(w, r),
         x, rng,
     )
 
@@ -268,8 +269,8 @@ def case_affinity_features(rng) -> float:
     state = _primed_state(rng, (h, h))
     x = rng.standard_normal((4, h, h)).astype(np.float32)
     return _probe(
-        lambda t: Tensor(_affinity_train(state, t.data)[0]),
-        lambda w: affinity_backward(w.data, _affinity_train(state, x)[1])[0],
+        lambda t: _affinity_train(state, t)[0],
+        lambda w: affinity_backward(w, _affinity_train(state, x)[1])[0],
         x, rng,
     )
 
@@ -279,8 +280,8 @@ def case_affinity_smoothing(rng) -> float:
     state = _primed_state(rng, (h, h))
     x = rng.standard_normal((4, h, h)).astype(np.float32)
     return _probe(
-        lambda t: Tensor(_affinity_train(state, x, smoothing=t.data)[0]),
-        lambda w: np.array([affinity_backward(w.data, _affinity_train(state, x)[1])[1]]),
+        lambda t: _affinity_train(state, x, smoothing=t)[0],
+        lambda w: np.array([affinity_backward(w, _affinity_train(state, x)[1])[1]]),
         state.smoothing.data.copy(), rng,
     )
 
@@ -289,11 +290,9 @@ def case_cross_entropy(rng) -> float:
     n, k = int(rng.integers(3, 9)), int(rng.integers(3, 9))
     logits = rng.standard_normal((n, k)).astype(np.float32)
     labels = rng.integers(0, k, n)
-    _, analytic = softmax_cross_entropy(Tensor(logits), labels)
-    fd = finite_diff_grad(
-        lambda t: softmax_cross_entropy(t, labels)[0], Tensor(logits), step=1e-3
-    )
-    return _rel_error(fd, analytic.data)
+    _, analytic = softmax_cross_entropy(logits, labels)
+    fd = finite_diff_grad(lambda t: softmax_cross_entropy(t, labels)[0], logits, step=1e-3)
+    return _rel_error(fd, analytic)
 
 
 CASES = {

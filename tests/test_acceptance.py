@@ -49,7 +49,7 @@ from arm_lab.erosion import (
     outer_ring_interior_split,
     perception_map,
 )
-from arm_lab.tensor import ConvGeometry, Tensor
+from arm_lab.tensor import ConvGeometry
 from arm_lab.train import TrainConfig, compare_heads, train
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"
@@ -151,18 +151,18 @@ def test_criterion_3_arrangement_bijection(capsys):
                     x = rng.standard_normal((2, channels, height, width)).astype(
                         np.float32
                     )
-                    shuffled = pixel_shuffle(Tensor(x), ratio)
-                    assert np.array_equal(shuffled.data, shuffle_oracle(x, ratio))
+                    shuffled = pixel_shuffle(x, ratio)
+                    assert np.array_equal(shuffled, shuffle_oracle(x, ratio))
                     back = pixel_unshuffle(shuffled, ratio)
-                    assert np.array_equal(back.data, x)
+                    assert np.array_equal(back, x)
 
                     y = rng.standard_normal(shuffled.shape).astype(np.float32)
                     lhs = np.vdot(
-                        shuffled.data.astype(np.float64), y.astype(np.float64)
+                        shuffled.astype(np.float64), y.astype(np.float64)
                     )
                     rhs = np.vdot(
                         x.astype(np.float64),
-                        pixel_unshuffle(Tensor(y), ratio).data.astype(np.float64),
+                        pixel_unshuffle(y, ratio).astype(np.float64),
                     )
                     assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
                     configs += 1

@@ -21,7 +21,6 @@ from arm_lab.arm import (
 )
 from arm_lab.cli import main
 from arm_lab.errors import ConfigError, DataError, KernelTooLargeError, UninitializedStateError
-from arm_lab.tensor import Tensor
 
 from oracles import arm_shape_trace
 
@@ -79,7 +78,7 @@ class TestParamCounts:
     def test_counts_match_allocated_tensors(self):
         cfg = ArmConfig(channels=32, height=4, width=4, classes=7)
         head = ArmHead(np.random.default_rng(0), cfg)
-        allocated = sum(t.size for _, t in head.params())
+        allocated = sum(t.data.size for _, t in head.params())
         assert allocated == arm_param_count(cfg)["total"]
 
     def test_frozen_smoothing_drops_the_parameter(self):
@@ -105,7 +104,7 @@ class TestShapeTrace:
     def test_trace_matches_actual_forward(self):
         cfg = ArmConfig(channels=32, height=4, width=4, classes=7)
         head = ArmHead(np.random.default_rng(1), cfg)
-        x = Tensor(np.random.default_rng(2).standard_normal((3, 32, 4, 4)).astype(np.float32))
+        x = np.random.default_rng(2).standard_normal((3, 32, 4, 4)).astype(np.float32)
         logits, cache = head.forward(x, mode="train")
         trace = dict(arm_shape_trace(cfg))
         assert cache["arranged"].shape == (3,) + trace["arranged"]
@@ -234,7 +233,7 @@ class TestNetworks:
         logits, cache = net.forward(x, mode="train")
         assert logits.shape == (4, 3)
         net.zero_grads()
-        grad_x = net.backward(Tensor(np.ones((4, 3), np.float32)), cache)
+        grad_x = net.backward(np.ones((4, 3), np.float32), cache)
         assert grad_x.shape == (4, 1, 16, 16)
         for name, tensor in net.params():
             assert tensor.grad is not None, name
@@ -251,7 +250,7 @@ class TestNetworks:
         loaded, manifest = load_checkpoint(tmp_path / "ckpt")
         assert manifest["extra"]["note"] == "test"
         eval_after, _ = loaded.forward(x, mode="eval")
-        assert np.array_equal(eval_before.data, eval_after.data)
+        assert np.array_equal(eval_before, eval_after)
         state_a = net.state_dict()
         state_b = loaded.state_dict()
         assert state_a.keys() == state_b.keys()
@@ -266,11 +265,11 @@ class TestNetworks:
             loaded.forward(np.zeros((1, 1, 16, 16), np.float32), mode="eval")
 
     def test_corrupt_checkpoint_shape_rejected(self, tmp_path):
-        from arm_lab.tensor import Tensor as T, save_tensor
+        from arm_lab.tensor import save_tensor
 
         net = build_network(self.make_desc("gap"), seed=0)
         save_checkpoint(tmp_path / "ckpt", net)
-        save_tensor(tmp_path / "ckpt" / "head_fc_bias.ten", T(np.zeros(99, np.float32)))
+        save_tensor(tmp_path / "ckpt" / "head_fc_bias.ten", np.zeros(99, np.float32))
         with pytest.raises(DataError, match="head.fc_bias"):
             load_checkpoint(tmp_path / "ckpt")
 

@@ -17,7 +17,7 @@ from arm_lab.arm import build_network, save_checkpoint
 from arm_lab.cli import main
 from arm_lab.data import load_dataset
 from arm_lab.erosion import perception_map
-from arm_lab.tensor import Tensor, save_tensor
+from arm_lab.tensor import save_tensor
 from arm_lab.train import TrainConfig, build_arm_description, build_gap_description
 
 
@@ -240,7 +240,7 @@ class TestTrainCommand:
         rel = labels[1].split(",")[0]
         if damage == "truncated_ten":
             ten_rel = rel[: -len(".pgm")] + ".ten"
-            save_tensor(root / ten_rel, Tensor(np.zeros((16, 16), np.float32)))
+            save_tensor(root / ten_rel, np.zeros((16, 16), np.float32))
             (root / ten_rel).write_bytes((root / ten_rel).read_bytes()[:9])
             labels[1] = labels[1].replace(rel, ten_rel)
             (root / "labels.csv").write_text("\n".join(labels) + "\n")
@@ -378,6 +378,34 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert code == 4, err
         assert named in err
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("head.fc_weight", np.nan),
+            ("head.generic_feature", np.inf),
+            ("head.bn_running_var", -1.0),
+            ("backbone.block0.bn_running_var", -1.0),
+        ],
+    )
+    def test_corrupt_tensor_value_is_data_error(
+        self, trained, corpus, tmp_path, capsys, name, value
+    ):
+        # such a tensor makes every logit non-finite, and argmax then picks class 0
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(trained / "checkpoint", ckpt)
+        path = ckpt / read_manifest(ckpt)["tensors"][name]
+        raw = bytearray(path.read_bytes())
+        first = 6 + 4 * raw[5]  # magic, version and rank, then one uint32 per extent
+        raw[first : first + 4] = np.array(value, "<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        code = main(
+            ["eval", "--checkpoint", str(ckpt), "--data", str(corpus),
+             "--out", str(tmp_path / "out"), "--split", "all"]
+        )
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert "manifest.json" in err and name in err
 
     def test_checkpoint_without_split_info_needs_split_all(self, corpus, tmp_path):
         index = load_dataset(corpus)

@@ -62,16 +62,16 @@ class TestTenFormat:
     @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 3, 4), (1, 2, 3, 4)])
     def test_round_trip(self, tmp_path, shape):
         rng = np.random.default_rng(0)
-        t = Tensor(rng.standard_normal(shape).astype(np.float32))
+        t = rng.standard_normal(shape).astype(np.float32)
         path = tmp_path / "x.ten"
         save_tensor(path, t)
         back = load_tensor(path)
         assert back.shape == t.shape
-        assert np.array_equal(back.data, t.data)
+        assert np.array_equal(back, t)
 
     def test_layout_is_as_documented(self, tmp_path):
         path = tmp_path / "x.ten"
-        save_tensor(path, Tensor(np.array([[1.0, 2.0], [3.0, 4.0]], np.float32)))
+        save_tensor(path, np.array([[1.0, 2.0], [3.0, 4.0]], np.float32))
         raw = path.read_bytes()
         assert raw[:4] == b"ARMT"
         assert raw[4] == 1  # version
@@ -87,14 +87,14 @@ class TestTenFormat:
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "x.ten"
-        save_tensor(path, Tensor(np.ones((4, 4), np.float32)))
+        save_tensor(path, np.ones((4, 4), np.float32))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError, match="truncated"):
             load_tensor(path)
 
     def test_truncation_at_every_offset_is_data_error(self, tmp_path):
         path = tmp_path / "x.ten"
-        save_tensor(path, Tensor(np.arange(6, dtype=np.float32).reshape(2, 3)))
+        save_tensor(path, np.arange(6, dtype=np.float32).reshape(2, 3))
         raw = path.read_bytes()
         for cut in range(len(raw)):
             path.write_bytes(raw[:cut])
@@ -134,29 +134,27 @@ class TestConv2d:
     def test_matches_loop_oracle_and_naive_path(self, n, c, h, w, k, s, p, oc, shared):
         rng = np.random.default_rng([n, c, h, w, k, s, p])
         geom = ConvGeometry(k, s, p, c, oc, shared_single_channel=shared)
-        x = Tensor(rng.standard_normal((n, c, h, w)).astype(np.float32))
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
         kernel = Tensor(rng.standard_normal(geom.kernel_shape()).astype(np.float32))
         fast = conv2d_forward(x, kernel, geom)
-        naive = conv2d_forward_naive(x.data, kernel.data, s, p, shared)
-        oracle = conv_oracle(x.data, kernel.data, s, p, shared)
-        assert np.abs(fast.data - naive).max() <= 1e-6
-        assert np.abs(fast.data.astype(np.float64) - oracle).max() <= 1e-5
+        naive = conv2d_forward_naive(x, kernel.data, s, p, shared)
+        oracle = conv_oracle(x, kernel.data, s, p, shared)
+        assert np.abs(fast - naive).max() <= 1e-6
+        assert np.abs(fast.astype(np.float64) - oracle).max() <= 1e-5
 
     @pytest.mark.parametrize("n,c,h,w,k,s,p,oc,shared", CONV_CASES)
     def test_backward_matches_loop_oracle(self, n, c, h, w, k, s, p, oc, shared):
         rng = np.random.default_rng([n, c, h, w, k, s, p, 1])
         geom = ConvGeometry(k, s, p, c, oc, shared_single_channel=shared)
-        x = Tensor(rng.standard_normal((n, c, h, w)).astype(np.float32))
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
         kernel = Tensor(rng.standard_normal(geom.kernel_shape()).astype(np.float32))
         out_shape = (n, oc, geom.out_extent(h), geom.out_extent(w))
-        grad_out = Tensor(rng.standard_normal(out_shape).astype(np.float32))
+        grad_out = rng.standard_normal(out_shape).astype(np.float32)
         grad_x, grad_kernel = conv2d_backward(grad_out, x, kernel, geom)
-        want_x, want_kernel = conv_backward_oracle(
-            x.data, kernel.data, grad_out.data, s, p, shared
-        )
+        want_x, want_kernel = conv_backward_oracle(x, kernel.data, grad_out, s, p, shared)
         assert grad_x.shape == x.shape and grad_kernel.shape == kernel.shape
-        assert np.abs(grad_x.data.astype(np.float64) - want_x).max() <= 1e-5
-        assert np.abs(grad_kernel.data.astype(np.float64) - want_kernel).max() <= 1e-5
+        assert np.abs(grad_x.astype(np.float64) - want_x).max() <= 1e-5
+        assert np.abs(grad_kernel.astype(np.float64) - want_kernel).max() <= 1e-5
 
     def test_padding_equals_explicit_zero_extension(self):
         """Padded convolution must equal p=0 on an explicitly extended input, bit for bit."""
@@ -167,25 +165,25 @@ class TestConv2d:
             padded_geom = ConvGeometry(3, 1, p, 3, 4)
             zero_geom = ConvGeometry(3, 1, 0, 3, 4)
             extended = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-            a = conv2d_forward(Tensor(x), Tensor(kernel), padded_geom)
-            b = conv2d_forward(Tensor(extended), Tensor(kernel), zero_geom)
-            assert np.array_equal(a.data, b.data)
+            a = conv2d_forward(x, Tensor(kernel), padded_geom)
+            b = conv2d_forward(extended, Tensor(kernel), zero_geom)
+            assert np.array_equal(a, b)
 
     def test_shared_kernel_is_channelwise_independent(self):
         rng = np.random.default_rng(9)
         geom = ConvGeometry(2, 1, 0, 3, 3, shared_single_channel=True)
         x = rng.standard_normal((1, 3, 4, 4)).astype(np.float32)
         kernel = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
-        full = conv2d_forward(Tensor(x), kernel, geom)
+        full = conv2d_forward(x, kernel, geom)
         for ci in range(3):
             single_geom = ConvGeometry(2, 1, 0, 1, 1, shared_single_channel=True)
-            single = conv2d_forward(Tensor(x[:, ci : ci + 1]), kernel, single_geom)
-            assert np.array_equal(full.data[:, ci : ci + 1], single.data)
+            single = conv2d_forward(x[:, ci : ci + 1], kernel, single_geom)
+            assert np.array_equal(full[:, ci : ci + 1], single)
 
     def test_channel_mismatch_raises(self):
         geom = ConvGeometry(3, 1, 0, 4, 4)
         with pytest.raises(GeometryError, match="channel"):
-            conv2d_forward(Tensor(np.zeros((1, 3, 5, 5))), Tensor(np.zeros((4, 4, 3, 3))), geom)
+            conv2d_forward(np.zeros((1, 3, 5, 5)), Tensor(np.zeros((4, 4, 3, 3))), geom)
 
 
 class TestBatchNorm:
@@ -193,14 +191,14 @@ class TestBatchNorm:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, 3, 5, 5)).astype(np.float32)
         out, _ = batchnorm(
-            Tensor(x), Tensor(np.ones(3, np.float32)), Tensor(np.zeros(3, np.float32)),
+            x, Tensor(np.ones(3, np.float32)), Tensor(np.zeros(3, np.float32)),
             RunningStats.init(3),
         )
         data = x.astype(np.float64)
         mean = data.mean(axis=(0, 2, 3))
         var = data.var(axis=(0, 2, 3))  # biased: divide by N*H*W
         expected = (data - mean[None, :, None, None]) / np.sqrt(var + 1e-5)[None, :, None, None]
-        assert np.abs(out.data - expected).max() <= 1e-6
+        assert np.abs(out - expected).max() <= 1e-6
 
     def test_running_update_rule(self):
         rng = np.random.default_rng(3)
@@ -209,7 +207,7 @@ class TestBatchNorm:
         running.mean = np.array([0.5, -0.5], np.float32)
         running.var = np.array([2.0, 3.0], np.float32)
         batchnorm(
-            Tensor(x), Tensor(np.ones(2, np.float32)), Tensor(np.zeros(2, np.float32)),
+            x, Tensor(np.ones(2, np.float32)), Tensor(np.zeros(2, np.float32)),
             running, momentum=0.1,
         )
         data = x.astype(np.float64)
@@ -226,7 +224,7 @@ class TestBatchNorm:
         running.var = np.array([4.0, 0.25], np.float32)
         before = (running.mean.copy(), running.var.copy())
         out, cache = batchnorm(
-            Tensor(x), Tensor(np.ones(2, np.float32)), Tensor(np.zeros(2, np.float32)),
+            x, Tensor(np.ones(2, np.float32)), Tensor(np.zeros(2, np.float32)),
             running, mode="eval",
         )
         assert np.array_equal(running.mean, before[0])
@@ -234,50 +232,48 @@ class TestBatchNorm:
         expected = (x.astype(np.float64) - np.array([1.0, -1.0])[None, :, None, None]) / np.sqrt(
             np.array([4.0, 0.25]) + 1e-5
         )[None, :, None, None]
-        assert np.abs(out.data - expected).max() <= 1e-6
+        assert np.abs(out - expected).max() <= 1e-6
         assert cache is None
 
 
 class TestLossAndMisc:
     def test_uniform_logits_loss_is_log_k(self):
-        loss, grad = softmax_cross_entropy(Tensor(np.zeros((5, 7))), np.zeros(5, int))
+        loss, grad = softmax_cross_entropy(np.zeros((5, 7)), np.zeros(5, int))
         assert abs(loss - math.log(7)) <= 1e-7
         # gradient rows: softmax minus one-hot, divided by batch
         expected = np.full((5, 7), 1 / 7.0)
         expected[:, 0] -= 1.0
-        assert np.abs(grad.data - expected / 5.0).max() <= 1e-7
+        assert np.abs(grad - expected / 5.0).max() <= 1e-7
 
     def test_label_out_of_range_names_sample(self):
         with pytest.raises(DataError, match="sample 1"):
-            softmax_cross_entropy(Tensor(np.zeros((3, 4))), [0, 7, 1])
+            softmax_cross_entropy(np.zeros((3, 4)), [0, 7, 1])
 
     def test_extreme_logits_stay_finite(self):
-        logits = Tensor(np.array([[1e4, -1e4, 0.0]], np.float32))
+        logits = np.array([[1e4, -1e4, 0.0]], np.float32)
         loss, grad = softmax_cross_entropy(logits, [1])
         assert np.isfinite(loss)
-        assert np.all(np.isfinite(grad.data))
+        assert np.all(np.isfinite(grad))
 
     def test_relu(self):
-        x = Tensor(np.array([-2.0, 0.0, 3.0], np.float32))
-        assert relu(x).data.tolist() == [0.0, 0.0, 3.0]
+        x = np.array([-2.0, 0.0, 3.0], np.float32)
+        assert relu(x).tolist() == [0.0, 0.0, 3.0]
 
     def test_channel_mean_value(self):
         x = np.zeros((1, 2, 2, 2), np.float32)
         x[0, 0] = 1.0
         x[0, 1] = 3.0
-        assert np.all(channel_mean(Tensor(x)).data == 2.0)
+        assert np.all(channel_mean(x) == 2.0)
 
     def test_linear_shape_validation(self):
         with pytest.raises(GeometryError):
-            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
+            linear(np.zeros((2, 3)), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
 
     def test_finite_diff_on_quadratic(self):
         # loss = sum(x^2) has exact gradient 2x; fd should be very close
-        x = Tensor(np.array([0.5, -1.25, 2.0], np.float32))
-        fd = finite_diff_grad(
-            lambda t: float(np.sum(t.data.astype(np.float64) ** 2)), x, step=1e-3
-        )
-        assert np.abs(fd - 2.0 * x.data.astype(np.float64)).max() <= 1e-4
+        x = np.array([0.5, -1.25, 2.0], np.float32)
+        fd = finite_diff_grad(lambda t: float(np.sum(t.astype(np.float64) ** 2)), x, step=1e-3)
+        assert np.abs(fd - 2.0 * x.astype(np.float64)).max() <= 1e-4
 
     @given(st.integers(min_value=1, max_value=4096))
     @settings(max_examples=50, deadline=None)

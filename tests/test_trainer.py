@@ -187,7 +187,7 @@ class TestTrainLoop:
         val = result["val_index"]
         ours, _ = result["network"].forward(val.images, mode="eval")
         theirs, _ = loaded.forward(val.images, mode="eval")
-        assert np.array_equal(ours.data, theirs.data)
+        assert np.array_equal(ours, theirs)
 
         _, wa, _ = evaluate(loaded, val, batch_size=config.batch_size)
         assert wa == result["wa"]
