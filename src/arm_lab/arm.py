@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import platform
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -112,17 +112,7 @@ class ArmConfig:
         return self.feature_height * self.feature_width
 
     def to_dict(self) -> dict:
-        return {
-            "channels": self.channels,
-            "height": self.height,
-            "width": self.width,
-            "classes": self.classes,
-            "ratio": self.ratio,
-            "da_kernel": self.da_kernel,
-            "da_stride": self.da_stride,
-            "smoothing_init": self.smoothing_init,
-            "smoothing_learnable": self.smoothing_learnable,
-        }
+        return asdict(self)
 
 
 def arm_param_count(config: ArmConfig) -> dict:

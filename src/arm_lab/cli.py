@@ -1,8 +1,9 @@
 """Command line front end.
 
 Every subcommand writes its outputs under --out with fixed file names and
-drops a manifest.json recording the configuration, the seed, and the
-self-checks that ran. Exit codes are documented in --help.
+drops a manifest.json recording every parsed argument but --out, the
+self-checks that can fail, the results and the environment. Exit codes are
+documented in --help.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .arm import CHECKPOINT_MANIFEST, ArmConfig, environment, load_checkpoint
 from .data import (
     class_counts_report,
     load_dataset,
-    metrics,
     split_index,
     synth_dataset,
     write_confusion_csv,
@@ -30,7 +30,6 @@ from .erosion import (
     k_sweep,
     outer_ring_interior_split,
     perception_map,
-    sweep_worker_count,
 )
 from .errors import (
     ConfigError,
@@ -79,16 +78,16 @@ def _ensure_out(path: str) -> str:
     return path
 
 
-def _write_manifest(out_dir, command, config, checks=None, results=None) -> None:
-    payload = {
-        "tool": "arm-lab",
-        "command": command,
-        "config": config,
-        "checks": checks or {},
-        "results": results or {},
-        "environment": environment(),
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+def _run_record(args, checks, results) -> dict:
+    """A run's record: its command, every parsed argument but --out, checks, results."""
+    config = {k: v for k, v in vars(args).items() if k not in ("out", "func", "command")}
+    return {"command": args.command, "config": config, "checks": checks,
+            "results": results, "environment": environment()}
+
+
+def _write_manifest(args, checks, results) -> None:
+    payload = dict(_run_record(args, checks, results), tool="arm-lab")
+    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
 
 
@@ -164,16 +163,12 @@ def cmd_perception(args) -> int:
         "max_possible": bound,
         "conserved": total == bound if args.padding == 0 else total <= bound,
     }
-    config = {
-        "height": args.height, "width": args.width, "kernel": args.kernel,
-        "stride": args.stride, "padding": args.padding,
-    }
     results = {
         "corner": int(pm.counts[0, 0]),
         "max": int(pm.counts.max()),
         "min": int(pm.counts.min()),
     }
-    _write_manifest(out, "perception", config, checks, results)
+    _write_manifest(args, checks, results)
     print(
         f"perception {args.height}x{args.width} k={args.kernel} s={args.stride} "
         f"p={args.padding}: corner={results['corner']} max={results['max']} -> {out}"
@@ -197,13 +192,9 @@ def cmd_erosion(args) -> int:
         float(m.contamination.min()) >= 0.0 and float(m.contamination.max()) <= 1.0
         for m in maps
     )
-    config = {
-        "height": args.height, "width": args.width,
-        "layers": [list(layer) for layer in layers],
-    }
     checks = {"contamination_in_unit_interval": in_range}
     results = {"per_layer_max_contamination": per_layer_max}
-    _write_manifest(out, "erosion", config, checks, results)
+    _write_manifest(args, checks, results)
     print(
         f"erosion through {len(layers)} layer(s): final max contamination "
         f"{per_layer_max[-1]:.4f} -> {out}"
@@ -229,17 +220,7 @@ def cmd_synth(args) -> int:
     manifest_path = os.path.join(args.out, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    manifest["run"] = {
-        "command": "synth",
-        "config": {
-            "classes": args.classes,
-            "per_class": args.per_class,
-            "extent": args.extent,
-            "seed": args.seed,
-        },
-        "checks": {"loaded_back": index.n_samples == int(index.counts.sum())},
-        "environment": environment(),
-    }
+    manifest["run"] = _run_record(args, {}, {})
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     report = class_counts_report(index)
@@ -262,24 +243,13 @@ def cmd_train(args) -> int:
                    out_dir=os.path.join(out, "checkpoint"))
     _write_history_csv(os.path.join(out, "metrics.csv"), result["history"])
     write_confusion_csv(os.path.join(out, "confusion.csv"), result["confusion"])
-    if result["confusion"].counts.sum() > 0:
-        wa_check, ua_check, _ = metrics(result["confusion"])
-        consistent = wa_check == result["wa"] and ua_check == result["ua"]
-    else:
-        # nothing was scored (run halted before the first epoch finished)
-        consistent = bool(np.isnan(result["wa"]))
-    checks = {
-        "confusion_consistent": consistent,
-        "deterministic_seeding": True,
-    }
     results = {
         "wa": result["wa"], "ua": result["ua"],
         "epochs_run": result["epochs_run"],
         "diverged": result["diverged"],
         "halt_reason": result["halt_reason"],
     }
-    run_config = dict(config.to_dict(), head=args.head, data=str(args.data))
-    _write_manifest(out, "train", run_config, checks, results)
+    _write_manifest(args, {}, results)
     if result["diverged"]:
         print(
             f"arm-lab: error: training halted ({result['halt_reason']}); "
@@ -345,17 +315,12 @@ def cmd_eval(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["wa", "ua"])
         writer.writerow([f"{wa:.6f}", f"{ua:.6f}"])
-    checks = {"classes_match": True}
+    checks = {}
     if args.split == "val" and "wa" in trained:
         checks["matches_training_eval"] = (
             abs(trained["wa"] - wa) < 1e-9 and abs(trained["ua"] - ua) < 1e-9
         )
-    config = {
-        "checkpoint": str(args.checkpoint), "data": str(args.data),
-        "split": args.split, "batch_size": args.batch_size,
-    }
-    _write_manifest(out, "eval", config, checks, {"wa": wa, "ua": ua,
-                                                  "samples": subset.n_samples})
+    _write_manifest(args, checks, {"wa": wa, "ua": ua, "samples": subset.n_samples})
     print(
         f"evaluated {subset.n_samples} sample(s) [{args.split}]: "
         f"wa={wa:.4f} ua={ua:.4f} -> {out}"
@@ -384,16 +349,10 @@ def cmd_sweep_k(args) -> int:
             )
     scored = [r for r in rows if np.isfinite(r["wa"])]
     best = max(scored, key=lambda r: r["wa"]) if scored else None
-    run_config = dict(
-        config.to_dict(),
-        k_min=args.k_min, k_max=args.k_max,
-        out_channels=args.out_channels, blocks=args.blocks,
-        data=str(args.data), workers=sweep_worker_count(),
-    )
     checks = {"completed": len(scored), "failed": len(rows) - len(scored)}
     results = {"best_k": None if best is None else best["k"],
                "best_wa": None if best is None else best["wa"]}
-    _write_manifest(out, "sweep-k", run_config, checks, results)
+    _write_manifest(args, checks, results)
     for row in rows:
         note = f" ({row['error']})" if row["error"] else ""
         print(f"k={row['k']}: wa={row['wa']:.4f} ua={row['ua']:.4f}{note}")
@@ -420,16 +379,13 @@ def cmd_clusters(args) -> int:
     np.savetxt(os.path.join(out, "clusters.csv"), profile, fmt="%d", delimiter=",")
     write_heatmap(os.path.join(out, "clusters.pgm"), profile)
     strictly_lighter = bool(ring.max() < interior.min())
-    config = {
-        "channels": args.channels, "height": args.height, "width": args.width,
-        "ratio": ratio, "kernel": kernel, "stride": stride,
-    }
     checks = {"outer_ring_strictly_lighter": strictly_lighter}
     results = {
+        "ratio": ratio, "kernel": kernel, "stride": stride,
         "ring_max": int(ring.max()), "interior_min": int(interior.min()),
         "profile_min": int(profile.min()), "profile_max": int(profile.max()),
     }
-    _write_manifest(out, "clusters", config, checks, results)
+    _write_manifest(args, checks, results)
     verdict = "strictly lighter" if strictly_lighter else "NOT strictly lighter"
     print(
         f"cluster weights {args.height}x{args.width} (r={ratio}, k={kernel}, "

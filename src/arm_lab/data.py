@@ -32,7 +32,6 @@ class DatasetIndex:
     paths: list[str]
     labels: np.ndarray
     images: np.ndarray | None = None  # (n, 1, H, W) float32 in [0, 1]
-    root: str | None = None
     per_class: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
@@ -62,7 +61,6 @@ class DatasetIndex:
             paths=[self.paths[i] for i in ids],
             labels=self.labels[ids],
             images=None if self.images is None else self.images[ids],
-            root=self.root,
         )
 
 
@@ -73,7 +71,7 @@ def mrr_epoch_sample(index: DatasetIndex, seed) -> np.ndarray:
     without replacement, with fresh randomness per call; the concatenation is
     shuffled before it is returned.
     """
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     for name, ids in zip(index.classes, index.per_class):
         if ids.size == 0:
             raise DataError(f"class {name!r} has no samples")
@@ -86,8 +84,7 @@ def mrr_epoch_sample(index: DatasetIndex, seed) -> np.ndarray:
 
 def plain_epoch_sample(index: DatasetIndex, seed) -> np.ndarray:
     """One unbalanced epoch: a fresh permutation of every sample."""
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    return rng.permutation(index.n_samples)
+    return np.random.default_rng(seed).permutation(index.n_samples)
 
 
 def class_counts_report(index: DatasetIndex) -> dict:
@@ -129,10 +126,6 @@ class ConfusionMatrix:
         true_labels = np.asarray(true_labels, dtype=np.int64)
         predictions = np.asarray(predictions, dtype=np.int64)
         np.add.at(self.counts, (true_labels, predictions), 1)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 def metrics(confusion: ConfusionMatrix) -> tuple[float, float, np.ndarray]:
@@ -275,6 +268,8 @@ def _load_image(root: str, rel: str) -> np.ndarray:
         image = load_tensor(path)
         if image.ndim != 2:
             raise DataError(f"{rel}: expected a rank-2 tensor image")
+        if not np.isfinite(image).all():
+            raise DataError(f"{rel}: image holds a non-finite value")
         return image
     return read_pgm(path).astype(np.float32) / 255.0
 
@@ -338,9 +333,7 @@ def load_dataset(root) -> DatasetIndex:
     if len(extents) != 1:
         raise DataError(f"images disagree on extent: {sorted(extents)}")
     stack = np.stack(images)[:, None, :, :].astype(np.float32)
-    return DatasetIndex(
-        classes=classes, paths=paths, labels=labels, images=stack, root=str(root)
-    )
+    return DatasetIndex(classes=classes, paths=paths, labels=labels, images=stack)
 
 
 def split_index(

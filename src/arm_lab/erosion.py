@@ -27,8 +27,6 @@ from .tensor import ConvGeometry
 class PerceptionMap:
     """Per-pixel window coverage counts for one convolution geometry."""
 
-    height: int
-    width: int
     counts: np.ndarray  # (height, width) int64
 
 
@@ -36,8 +34,6 @@ class PerceptionMap:
 class AlbinoMap:
     """Per-pixel padding contamination in [0, 1] after a stack of layers."""
 
-    height: int
-    width: int
     contamination: np.ndarray  # (height, width) float64
 
 
@@ -62,7 +58,7 @@ def perception_map(height: int, width: int, k: int, s: int, p: int) -> Perceptio
         raise GeometryError(f"invalid geometry k={k}, s={s}, p={p}")
     rows = coverage_counts_1d(height, k, s, p)
     cols = coverage_counts_1d(width, k, s, p)
-    return PerceptionMap(height=height, width=width, counts=np.outer(rows, cols))
+    return PerceptionMap(counts=np.outer(rows, cols))
 
 
 def _propagate_clean_mass(mass: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
@@ -93,10 +89,7 @@ def albino_maps_per_layer(
             mass = _propagate_clean_mass(mass, k, s, p)
         except KernelTooLargeError as exc:
             raise KernelTooLargeError(f"layer {idx}: {exc}") from None
-        contamination = 1.0 - mass
-        maps.append(
-            AlbinoMap(height=mass.shape[0], width=mass.shape[1], contamination=contamination)
-        )
+        maps.append(AlbinoMap(contamination=1.0 - mass))
     return maps
 
 

@@ -239,6 +239,10 @@ def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, grad_out, 0.0)
 
 
+BN_MOMENTUM = 0.1  # weight of each train batch in the running statistics
+BN_EPS = 1e-5
+
+
 @dataclass
 class RunningStats:
     """Per-channel running mean/variance updated by train-mode batchnorm."""
@@ -264,8 +268,6 @@ def batchnorm(
     shift: Tensor,
     running: RunningStats,
     mode: str = "train",
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> tuple[np.ndarray, BatchNormCache | None]:
     """Per-channel standardization followed by the learned affine map.
 
@@ -286,12 +288,12 @@ def batchnorm(
     if mode == "train":
         mean = data.mean(axis=(0, 2, 3))
         var = data.var(axis=(0, 2, 3))
-        running.mean = ((1.0 - momentum) * running.mean + momentum * mean).astype(np.float32)
-        running.var = ((1.0 - momentum) * running.var + momentum * var).astype(np.float32)
+        running.mean = ((1.0 - BN_MOMENTUM) * running.mean + BN_MOMENTUM * mean).astype(np.float32)
+        running.var = ((1.0 - BN_MOMENTUM) * running.var + BN_MOMENTUM * var).astype(np.float32)
     else:
         mean = running.mean.astype(np.float64)
         var = running.var.astype(np.float64)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (data - mean[None, :, None, None]) * inv_std[None, :, None, None]
     scale64 = scale.data.astype(np.float64)
     out = xhat * scale64[None, :, None, None]

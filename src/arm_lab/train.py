@@ -64,12 +64,11 @@ class TrainConfig:
 class Adam:
     """Adam with bias correction; refuses to apply non-finite gradients."""
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=0.001):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.steps = 0
         self.m = {name: np.zeros(t.shape, np.float64) for name, t in self.params}
         self.v = {name: np.zeros(t.shape, np.float64) for name, t in self.params}
@@ -97,15 +96,9 @@ class Adam:
             )
 
 
-def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
-    return np.random.default_rng([seed, epoch])
-
-
 def epoch_sample_ids(index: DatasetIndex, config: TrainConfig, epoch: int) -> np.ndarray:
-    rng = _epoch_rng(config.seed, epoch)
-    if config.sampler == "mrr":
-        return mrr_epoch_sample(index, rng)
-    return plain_epoch_sample(index, rng)
+    sample = mrr_epoch_sample if config.sampler == "mrr" else plain_epoch_sample
+    return sample(index, [config.seed, epoch])
 
 
 def evaluate(network: Network, index: DatasetIndex, batch_size: int = 256):

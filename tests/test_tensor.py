@@ -207,8 +207,7 @@ class TestBatchNorm:
         running.mean = np.array([0.5, -0.5], np.float32)
         running.var = np.array([2.0, 3.0], np.float32)
         batchnorm(
-            x, Tensor(np.ones(2, np.float32)), Tensor(np.zeros(2, np.float32)),
-            running, momentum=0.1,
+            x, Tensor(np.ones(2, np.float32)), Tensor(np.zeros(2, np.float32)), running
         )
         data = x.astype(np.float64)
         expect_mean = 0.9 * np.array([0.5, -0.5]) + 0.1 * data.mean(axis=(0, 2, 3))
