@@ -10,6 +10,7 @@ a buffer, not a parameter; only its smoothing coefficient can learn.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 from dataclasses import asdict, dataclass
@@ -130,25 +131,83 @@ def arm_param_count(config: ArmConfig) -> dict:
     return counts
 
 
+class Module:
+    """Parameter, state and checkpoint plumbing derived from declarations.
+
+    A subclass lists (checkpoint name, attribute path) pairs, in checkpoint
+    order: PARAMS for its learnable tensors, BUFFERS for the saved arrays that
+    do not learn; CHILDREN, (name prefix, attribute path) pairs of child
+    modules, from which children() yields (name prefix, module) pairs. A
+    module's state is its parameters' data, then its buffers, then each
+    child's state under the child's prefix. Layers' forward(x, mode) returns
+    (output, backward cache); backward(grad_out, cache) accumulates parameter
+    gradients and returns the input gradient.
+    """
+
+    PARAMS: tuple[tuple[str, str], ...] = ()
+    BUFFERS: tuple[tuple[str, str], ...] = ()
+    CHILDREN: tuple[tuple[str, str], ...] = ()
+
+    def children(self):
+        return [(prefix, attrgetter(path)(self)) for prefix, path in self.CHILDREN]
+
+    def params(self, prefix=""):
+        out = [(prefix + name, attrgetter(path)(self)) for name, path in self.PARAMS]
+        for child_prefix, child in self.children():
+            out.extend(child.params(prefix + child_prefix))
+        return out
+
+    def _saved(self):
+        return [(name, path + ".data") for name, path in self.PARAMS] + list(self.BUFFERS)
+
+    def state_dict(self, prefix=""):
+        out = {prefix + name: attrgetter(path)(self) for name, path in self._saved()}
+        for child_prefix, child in self.children():
+            out.update(child.state_dict(prefix + child_prefix))
+        return out
+
+    def load_state_dict(self, values, prefix=""):
+        for name, path in self._saved():
+            owner_path, _, attr = path.rpartition(".")
+            owner = attrgetter(owner_path)(self)
+            shape = getattr(owner, attr).shape
+            setattr(owner, attr, _taken(values, prefix + name, shape))
+        for child_prefix, child in self.children():
+            child.load_state_dict(values, prefix + child_prefix)
+
+    def post_step(self):
+        """Hook run after each optimizer step; projects parameters if needed."""
+        for _, child in self.children():
+            child.post_step()
+
+
 # ---------------------------------------------------------------------------
 # Affinity splitting: running estimate of the generic feature.
 
 
 @dataclass
-class GenericFeatureState:
-    """Smoothing coefficient plus the float32 generic-feature buffer (None until a batch)."""
+class GenericFeatureState(Module):
+    """Smoothing coefficient plus the float32 generic-feature buffer (None until a batch).
+
+    The coefficient is saved either way but is a parameter only when learnable.
+    """
 
     smoothing: Tensor
     feature: np.ndarray | None = None
 
     @classmethod
-    def create(cls, init: float = 0.3) -> "GenericFeatureState":
-        return cls(smoothing=Tensor(np.array([init], np.float32)))
+    def create(cls, init: float = 0.3, learnable: bool = True) -> "GenericFeatureState":
+        state = cls(smoothing=Tensor(np.array([init], np.float32)))
+        if learnable:
+            state.PARAMS = (("smoothing", "smoothing"),)
+        else:
+            state.BUFFERS = (("smoothing", "smoothing.data"),)
+        return state
 
     def clamped_smoothing(self) -> float:
         return float(min(1.0, max(0.0, float(self.smoothing.data[0]))))
 
-    def clamp_param(self) -> None:
+    def post_step(self) -> None:
         """Project the stored coefficient back into [0, 1] after an update."""
         self.smoothing.data[0] = np.float32(self.clamped_smoothing())
 
@@ -227,94 +286,95 @@ def affinity_backward(
 # Building blocks.
 
 
-class Module:
-    """Parameter, state and checkpoint plumbing derived from declarations.
+class Conv(Module):
+    """One bias-free convolution kernel with its geometry (dense or shared)."""
 
-    A subclass lists (checkpoint name, attribute path) pairs, in checkpoint
-    order: PARAMS for its learnable tensors, BUFFERS for the saved arrays that
-    do not learn. children() yields (name prefix, module) pairs. A module's
-    state is its parameters' data, then its buffers, then each child's state
-    under the child's prefix.
-    """
+    PARAMS = (("kernel", "kernel"),)
 
-    PARAMS: tuple[tuple[str, str], ...] = ()
-    BUFFERS: tuple[tuple[str, str], ...] = ()
-
-    def children(self):
-        return ()
-
-    def params(self, prefix=""):
-        out = [(prefix + name, attrgetter(path)(self)) for name, path in self.PARAMS]
-        for child_prefix, child in self.children():
-            out.extend(child.params(prefix + child_prefix))
-        return out
-
-    def _saved(self):
-        return [(name, path + ".data") for name, path in self.PARAMS] + list(self.BUFFERS)
-
-    def state_dict(self, prefix=""):
-        out = {prefix + name: attrgetter(path)(self) for name, path in self._saved()}
-        for child_prefix, child in self.children():
-            out.update(child.state_dict(prefix + child_prefix))
-        return out
-
-    def load_state_dict(self, values, prefix=""):
-        for name, path in self._saved():
-            owner_path, _, attr = path.rpartition(".")
-            owner = attrgetter(owner_path)(self)
-            shape = getattr(owner, attr).shape
-            setattr(owner, attr, _taken(values, prefix + name, shape))
-        for child_prefix, child in self.children():
-            child.load_state_dict(values, prefix + child_prefix)
-
-    def post_step(self):
-        """Hook run after each optimizer step; projects parameters if needed."""
-        for _, child in self.children():
-            child.post_step()
-
-
-class ConvBlock(Module):
-    """Bias-free strided convolution, batch normalization, rectification."""
-
-    PARAMS = (("kernel", "kernel"), ("bn_scale", "scale"), ("bn_shift", "shift"))
-    BUFFERS = (("bn_running_mean", "running.mean"), ("bn_running_var", "running.var"))
-
-    def __init__(self, rng, in_channels, out_channels, kernel=3, stride=2, padding=1):
-        self.geom = ConvGeometry(kernel, stride, padding, in_channels, out_channels)
-        fan_in = in_channels * kernel * kernel
-        self.kernel = Tensor(kaiming_uniform(rng, self.geom.kernel_shape(), fan_in))
-        self.scale = Tensor(np.ones(out_channels, np.float32))
-        self.shift = Tensor(np.zeros(out_channels, np.float32))
-        self.running = RunningStats.init(out_channels)
+    def __init__(self, rng, geom: ConvGeometry):
+        self.geom = geom
+        shape = geom.kernel_shape()
+        self.kernel = Tensor(kaiming_uniform(rng, shape, math.prod(shape[-3:])))
 
     def forward(self, x: np.ndarray, mode: str):
-        conv_out = conv2d_forward(x, self.kernel, self.geom)
-        bn_out, bn_cache = batchnorm(conv_out, self.scale, self.shift, self.running, mode)
-        out = relu(bn_out)
-        return out, (x, bn_out, bn_cache)
+        return conv2d_forward(x, self.kernel, self.geom), x
+
+    def backward(self, grad_out: np.ndarray, x) -> np.ndarray:
+        grad_x, grad_kernel = conv2d_backward(grad_out, x, self.kernel, self.geom)
+        self.kernel.add_grad(grad_kernel)
+        return grad_x
+
+
+class BatchNorm(Module):
+    """Per-channel scale and shift, plus the running statistics eval uses."""
+
+    PARAMS = (("scale", "scale"), ("shift", "shift"))
+    BUFFERS = (("running_mean", "running.mean"), ("running_var", "running.var"))
+
+    def __init__(self, channels: int):
+        self.scale = Tensor(np.ones(channels, np.float32))
+        self.shift = Tensor(np.zeros(channels, np.float32))
+        self.running = RunningStats.init(channels)
+
+    def forward(self, x: np.ndarray, mode: str):
+        return batchnorm(x, self.scale, self.shift, self.running, mode)
+
+    def backward(self, grad_out: np.ndarray, cache) -> np.ndarray:
+        grad_x, grad_scale, grad_shift = batchnorm_backward(grad_out, cache)
+        self.scale.add_grad(grad_scale)
+        self.shift.add_grad(grad_shift)
+        return grad_x
+
+
+class Linear(Module):
+    """Fully connected classifier layer: weight (out, in) and bias (out,)."""
+
+    PARAMS = (("weight", "weight"), ("bias", "bias"))
+
+    def __init__(self, rng, in_features: int, out_features: int):
+        self.weight = Tensor(kaiming_uniform(rng, (out_features, in_features), in_features))
+        self.bias = Tensor(np.zeros(out_features, np.float32))
+
+    def forward(self, x: np.ndarray, mode: str):
+        return linear(x, self.weight, self.bias), x
+
+    def backward(self, grad_out: np.ndarray, x) -> np.ndarray:
+        grad_x, grad_weight, grad_bias = linear_backward(grad_out, x, self.weight)
+        self.weight.add_grad(grad_weight)
+        self.bias.add_grad(grad_bias)
+        return grad_x
+
+
+class ConvBlock(Conv):
+    """Bias-free 3x3 stride-2 convolution with padding 1, batch normalization, rectification."""
+
+    CHILDREN = (("bn_", "bn"),)
+
+    def __init__(self, rng, in_channels, out_channels):
+        super().__init__(rng, ConvGeometry(3, 2, 1, in_channels, out_channels))
+        self.bn = BatchNorm(out_channels)
+
+    def forward(self, x: np.ndarray, mode: str):
+        conv_out, _ = super().forward(x, mode)
+        bn_out, bn_cache = self.bn.forward(conv_out, mode)
+        return relu(bn_out), (x, bn_out, bn_cache)
 
     def backward(self, grad_out: np.ndarray, cache) -> np.ndarray:
         x, bn_out, bn_cache = cache
-        grad_bn = relu_backward(grad_out, bn_out)
-        grad_conv, grad_scale, grad_shift = batchnorm_backward(grad_bn, bn_cache)
-        self.scale.add_grad(grad_scale)
-        self.shift.add_grad(grad_shift)
-        grad_x, grad_kernel = conv2d_backward(grad_conv, x, self.kernel, self.geom)
-        self.kernel.add_grad(grad_kernel)
-        return grad_x
+        grad_conv = self.bn.backward(relu_backward(grad_out, bn_out), bn_cache)
+        return super().backward(grad_conv, x)
 
 
 class TinyBackbone(Module):
     """Stack of stride-2 blocks mapping (N, 1, E, E) to (N, C, E/2^d, E/2^d)."""
 
-    def __init__(self, rng, input_extent: int, widths=(8, 16, 32), in_channels: int = 1):
+    def __init__(self, rng, input_extent: int, widths):
         if input_extent % (2 ** len(widths)) != 0:
             raise ConfigError(
                 f"input extent {input_extent} is not divisible by 2^{len(widths)}"
             )
-        widths = [int(w) for w in widths]
-        sizes = [in_channels] + widths
-        self.blocks = [ConvBlock(rng, c_in, c_out) for c_in, c_out in zip(sizes, widths)]
+        sizes = [1] + [int(w) for w in widths]
+        self.blocks = [ConvBlock(rng, c_in, c_out) for c_in, c_out in zip(sizes, sizes[1:])]
         self.out_channels = sizes[-1]
         self.out_extent = input_extent // (2 ** len(widths))
 
@@ -337,80 +397,42 @@ class TinyBackbone(Module):
 class ArmHead(Module):
     """Arrange, weight, normalize, pool, split affinity, classify.
 
-    The smoothing coefficient is saved either way but is a parameter only
-    when learnable. The generic-feature buffer is saved only once a batch
-    has initialized it, so an absent entry loads as uninitialized.
+    The generic-feature buffer is saved only once a batch has initialized
+    it, so an absent entry loads as uninitialized.
     """
 
-    PARAMS = (
-        ("weighting_kernel", "weighting_kernel"), ("bn_scale", "scale"),
-        ("bn_shift", "shift"), ("fc_weight", "fc_weight"), ("fc_bias", "fc_bias"),
-    )
-    BUFFERS = (("bn_running_mean", "running.mean"), ("bn_running_var", "running.var"))
+    CHILDREN = (("weighting_", "weighting"), ("bn_", "bn"), ("fc_", "fc"), ("", "state"))
 
     def __init__(self, rng, config: ArmConfig):
         self.config = config
-        if config.smoothing_learnable:
-            self.PARAMS = ArmHead.PARAMS + (("smoothing", "state.smoothing"),)
-        else:
-            self.BUFFERS = (("smoothing", "state.smoothing.data"),) + ArmHead.BUFFERS
-        geom = config.da_geometry
-        self.weighting_kernel = Tensor(
-            kaiming_uniform(rng, geom.kernel_shape(), geom.kernel * geom.kernel)
-        )
-        oc = config.shuffle_spec.out_channels
-        self.scale = Tensor(np.ones(oc, np.float32))
-        self.shift = Tensor(np.zeros(oc, np.float32))
-        self.running = RunningStats.init(oc)
-        self.state = GenericFeatureState.create(config.smoothing_init)
-        f = config.feature_count
-        self.fc_weight = Tensor(kaiming_uniform(rng, (config.classes, f), f))
-        self.fc_bias = Tensor(np.zeros(config.classes, np.float32))
+        self.weighting = Conv(rng, config.da_geometry)
+        self.bn = BatchNorm(config.shuffle_spec.out_channels)
+        self.state = GenericFeatureState.create(config.smoothing_init, config.smoothing_learnable)
+        self.fc = Linear(rng, config.feature_count, config.classes)
 
     def forward(self, x: np.ndarray, mode: str):
         cfg = self.config
         arranged = pixel_shuffle(x, cfg.ratio)
-        weighted = conv2d_forward(arranged, self.weighting_kernel, cfg.da_geometry)
-        normalized, bn_cache = batchnorm(weighted, self.scale, self.shift, self.running, mode)
+        weighted, _ = self.weighting.forward(arranged, mode)
+        normalized, bn_cache = self.bn.forward(weighted, mode)
         pooled = channel_mean(normalized)
         split, aff_cache = affinity_forward(self.state, pooled, mode)
         flat = split.reshape(split.shape[0], cfg.feature_count)
-        logits = linear(flat, self.fc_weight, self.fc_bias)
-        cache = {
-            "arranged": arranged,
-            "bn_cache": bn_cache,
-            "aff_cache": aff_cache,
-            "flat": flat,
-            "pooled_shape": pooled.shape,
-        }
+        logits, _ = self.fc.forward(flat, mode)
+        cache = {"arranged": arranged, "bn_cache": bn_cache, "aff_cache": aff_cache,
+                 "flat": flat, "pooled_shape": pooled.shape}
         return logits, cache
 
     def backward(self, grad_logits: np.ndarray, cache) -> np.ndarray:
         cfg = self.config
-        grad_flat, grad_w, grad_b = linear_backward(
-            grad_logits, cache["flat"], self.fc_weight
-        )
-        self.fc_weight.add_grad(grad_w)
-        self.fc_bias.add_grad(grad_b)
-        grad_split = grad_flat.reshape(cache["pooled_shape"])
+        grad_split = self.fc.backward(grad_logits, cache["flat"]).reshape(cache["pooled_shape"])
         grad_pooled, grad_smoothing = affinity_backward(grad_split, cache["aff_cache"])
         if cfg.smoothing_learnable:
             self.state.smoothing.add_grad(np.array([grad_smoothing], np.float32))
-        oc = cfg.shuffle_spec.out_channels
-        grad_norm = channel_mean_backward(grad_pooled, oc)
-        grad_weighted, grad_scale, grad_shift = batchnorm_backward(
-            grad_norm, cache["bn_cache"]
-        )
-        self.scale.add_grad(grad_scale)
-        self.shift.add_grad(grad_shift)
-        grad_arranged, grad_kernel = conv2d_backward(
-            grad_weighted, cache["arranged"], self.weighting_kernel, cfg.da_geometry
-        )
-        self.weighting_kernel.add_grad(grad_kernel)
+        grad_norm = channel_mean_backward(grad_pooled, cfg.shuffle_spec.out_channels)
+        grad_weighted = self.bn.backward(grad_norm, cache["bn_cache"])
+        grad_arranged = self.weighting.backward(grad_weighted, cache["arranged"])
         return pixel_unshuffle(grad_arranged, cfg.ratio)
-
-    def post_step(self):
-        self.state.clamp_param()
 
     def state_dict(self, prefix=""):
         out = super().state_dict(prefix)
@@ -429,23 +451,18 @@ class ArmHead(Module):
 class GapHead(Module):
     """Plain global-average-pool classifier over the backbone output."""
 
-    PARAMS = (("fc_weight", "fc_weight"), ("fc_bias", "fc_bias"))
+    CHILDREN = (("fc_", "fc"),)
 
     def __init__(self, rng, channels: int, classes: int):
-        self.fc_weight = Tensor(kaiming_uniform(rng, (classes, channels), channels))
-        self.fc_bias = Tensor(np.zeros(classes, np.float32))
+        self.fc = Linear(rng, channels, classes)
 
     def forward(self, x: np.ndarray, mode: str):
         pooled = x.mean(axis=(2, 3), dtype=np.float64).astype(np.float32)
-        logits = linear(pooled, self.fc_weight, self.fc_bias)
+        logits, _ = self.fc.forward(pooled, mode)
         return logits, {"pooled": pooled, "shape": x.shape}
 
     def backward(self, grad_logits: np.ndarray, cache) -> np.ndarray:
-        grad_pooled, grad_w, grad_b = linear_backward(
-            grad_logits, cache["pooled"], self.fc_weight
-        )
-        self.fc_weight.add_grad(grad_w)
-        self.fc_bias.add_grad(grad_b)
+        grad_pooled = self.fc.backward(grad_logits, cache["pooled"])
         n, c, h, w = cache["shape"]
         g = grad_pooled.astype(np.float64) / (h * w)
         return np.broadcast_to(g[:, :, None, None], (n, c, h, w)).astype(np.float32, order="C")
@@ -458,49 +475,30 @@ class SweepHead(Module):
     whatever spatial extent the kernel leaves over.
     """
 
-    PARAMS = (
-        ("weighting_kernel", "weighting_kernel"), ("fc_weight", "fc_weight"),
-        ("fc_bias", "fc_bias"),
-    )
+    CHILDREN = (("weighting_", "weighting"), ("fc_", "fc"))
 
     def __init__(self, rng, channels: int, extent: int, kernel: int, classes: int):
-        self.geom = ConvGeometry(
-            kernel=kernel, stride=1, padding=0,
-            in_channels=channels, out_channels=channels,
-            shared_single_channel=True,
-        )
-        out = self.geom.out_extent(extent)
+        geom = ConvGeometry(kernel, 1, 0, channels, channels, shared_single_channel=True)
+        out = geom.out_extent(extent)
         self.features = channels * out * out
-        self.weighting_kernel = Tensor(
-            kaiming_uniform(rng, self.geom.kernel_shape(), kernel * kernel)
-        )
-        self.fc_weight = Tensor(
-            kaiming_uniform(rng, (classes, self.features), self.features)
-        )
-        self.fc_bias = Tensor(np.zeros(classes, np.float32))
+        self.weighting = Conv(rng, geom)
+        self.fc = Linear(rng, self.features, classes)
 
     def forward(self, x: np.ndarray, mode: str):
-        weighted = conv2d_forward(x, self.weighting_kernel, self.geom)
+        weighted, _ = self.weighting.forward(x, mode)
         flat = weighted.reshape(x.shape[0], self.features)
-        logits = linear(flat, self.fc_weight, self.fc_bias)
+        logits, _ = self.fc.forward(flat, mode)
         return logits, {"x": x, "flat": flat, "weighted_shape": weighted.shape}
 
     def backward(self, grad_logits: np.ndarray, cache) -> np.ndarray:
-        grad_flat, grad_w, grad_b = linear_backward(
-            grad_logits, cache["flat"], self.fc_weight
-        )
-        self.fc_weight.add_grad(grad_w)
-        self.fc_bias.add_grad(grad_b)
-        grad_weighted = grad_flat.reshape(cache["weighted_shape"])
-        grad_x, grad_kernel = conv2d_backward(
-            grad_weighted, cache["x"], self.weighting_kernel, self.geom
-        )
-        self.weighting_kernel.add_grad(grad_kernel)
-        return grad_x
+        grad_weighted = self.fc.backward(grad_logits, cache["flat"])
+        return self.weighting.backward(grad_weighted.reshape(cache["weighted_shape"]), cache["x"])
 
 
 class Network(Module):
     """Backbone plus head with explicit forward caches and accumulated grads."""
+
+    CHILDREN = (("backbone.", "backbone"), ("head.", "head"))
 
     def __init__(self, backbone: TinyBackbone, head, description: dict):
         self.backbone = backbone
@@ -519,9 +517,6 @@ class Network(Module):
     def backward(self, grad_logits: np.ndarray, cache) -> np.ndarray:
         grad = self.head.backward(grad_logits, cache["head"])
         return self.backbone.backward(grad, cache["backbone"])
-
-    def children(self):
-        return (("backbone.", self.backbone), ("head.", self.head))
 
     def zero_grads(self):
         for _, tensor in self.params():

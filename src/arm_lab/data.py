@@ -214,6 +214,8 @@ def synth_dataset(
     """
     if num_classes < 2:
         raise DataError(f"need at least 2 classes, got {num_classes}")
+    if extent < 1:
+        raise DataError(f"extent must be >= 1, got {extent}")
     if isinstance(per_class, (int, np.integer)):
         counts = [int(per_class)] * num_classes
     else:

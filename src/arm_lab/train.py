@@ -49,6 +49,10 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        if not 0.0 <= self.smoothing_init <= 1.0:
+            raise ConfigError(f"smoothing_init must be in [0, 1], got {self.smoothing_init}")
         if self.sampler not in SAMPLERS:
             raise ConfigError(
                 f"sampler must be one of {SAMPLERS}, got {self.sampler!r}"

@@ -9,7 +9,9 @@ import pytest
 from arm_lab.arm import (
     ArmConfig,
     ArmHead,
+    BatchNorm,
     GenericFeatureState,
+    Module,
     Network,
     affinity_backward,
     affinity_forward,
@@ -21,6 +23,7 @@ from arm_lab.arm import (
 )
 from arm_lab.cli import main
 from arm_lab.errors import ConfigError, DataError, KernelTooLargeError, UninitializedStateError
+from arm_lab.tensor import Tensor
 
 from oracles import arm_shape_trace
 
@@ -177,7 +180,7 @@ class TestAffinitySplit:
         assert state.clamped_smoothing() == 1.0
         state.smoothing.data[0] = -0.2
         assert state.clamped_smoothing() == 0.0
-        state.clamp_param()
+        state.post_step()
         assert state.smoothing.data[0] == 0.0
 
     def test_smoothing_gradient_sign(self):
@@ -327,3 +330,48 @@ class TestVersion1Checkpoints:
                      "--out", str(tmp_path / "out")])
         assert code == 4
         assert "head.bogus" in capsys.readouterr().err
+
+
+def reference_description(kind):
+    """Backbone widths 8/16/32 over 32x32 inputs, seven classes."""
+    desc = {"type": kind, "input_extent": 32, "backbone_widths": [8, 16, 32], "classes": 7}
+    if kind == "arm":
+        desc["arm"] = {"channels": 32, "height": 4, "width": 4, "classes": 7}
+    if kind == "sweep":
+        desc["kernel"] = 2
+    return desc
+
+
+def walk(module):
+    yield module
+    for _, child in module.children():
+        yield from walk(child)
+
+
+class TestModuleTree:
+    @pytest.mark.parametrize(
+        "kind, learnable", [("arm", True), ("arm", False), ("gap", True), ("sweep", True)]
+    )
+    def test_every_tensor_is_a_parameter_or_saved(self, kind, learnable):
+        desc = reference_description(kind)
+        if kind == "arm":
+            desc["arm"]["smoothing_learnable"] = learnable
+        network = build_network(desc, seed=0)
+        params = {id(tensor) for _, tensor in network.params()}
+        saved = {id(data) for data in network.state_dict().values()}
+        reached = 0
+        for module in walk(network):
+            children = {id(child) for _, child in module.children()}
+            for attr, value in vars(module).items():
+                if isinstance(value, Tensor):
+                    reached += 1
+                    assert id(value) in params or id(value.data) in saved, (module, attr)
+                for held in value if isinstance(value, list) else [value]:
+                    if isinstance(held, Module):
+                        assert id(held) in children, (module, attr)
+        # a frozen smoothing coefficient is the one Tensor saved without learning
+        assert reached == len(params) + (not learnable)
+
+    def test_reference_arm_network_reaches_four_batchnorms(self):
+        network = build_network(reference_description("arm"), seed=0)
+        assert sum(isinstance(module, BatchNorm) for module in walk(network)) == 4

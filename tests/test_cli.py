@@ -177,6 +177,16 @@ class TestSynth:
         )
         assert code == 5
 
+    @pytest.mark.parametrize("extent", ["0", "-3"])
+    def test_impossible_extent_is_data_error(self, tmp_path, extent):
+        out = tmp_path / "c"
+        code = main(
+            ["synth", "--out", str(out), "--classes", "3", "--per-class", "2",
+             "--extent", extent]
+        )
+        assert code == 4
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_artifacts_and_manifest(self, trained, corpus):
@@ -218,6 +228,17 @@ class TestTrainCommand:
         code = main(["train", "--data", str(root), "--out", str(tmp_path / "out"), *TRAIN_ARGS])
         assert code == 4
         assert "repeats" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [
+        ["--val-fraction", "0"], ["--val-fraction", "1"], ["--val-fraction", "1.5"],
+        ["--val-fraction", "-0.2"], ["--head", "gap", "--smoothing", "5"],
+    ])
+    def test_out_of_range_option_is_config_error(self, corpus, tmp_path, capsys, bad):
+        out = tmp_path / "out"
+        code = main(["train", "--data", str(corpus), "--out", str(out), *TRAIN_ARGS, *bad])
+        assert code == 5
+        assert "arm-lab: error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code = main(
