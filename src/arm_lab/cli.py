@@ -118,7 +118,8 @@ def _parse_layers(raw: str) -> list[tuple[int, int, int]]:
     return layers
 
 
-def _train_config(args) -> TrainConfig:
+def _train_config(args, **head) -> TrainConfig:
+    """The training options every training subcommand shares, plus head settings."""
     return TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -127,9 +128,7 @@ def _train_config(args) -> TrainConfig:
         seed=args.seed,
         sampler=args.sampler,
         val_fraction=args.val_fraction,
-        smoothing_init=args.smoothing,
-        smoothing_learnable=not args.freeze_smoothing,
-        backbone_widths=tuple(_parse_int_list(args.widths, "--widths")),
+        **head,
     )
 
 
@@ -233,7 +232,12 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     index = load_dataset(args.data)
-    config = _train_config(args)
+    config = _train_config(
+        args,
+        smoothing_init=args.smoothing,
+        smoothing_learnable=not args.freeze_smoothing,
+        backbone_widths=tuple(_parse_int_list(args.widths, "--widths")),
+    )
     if args.head == "arm":
         description = build_arm_description(index, config)
     else:
@@ -243,13 +247,7 @@ def cmd_train(args) -> int:
                    out_dir=os.path.join(out, "checkpoint"))
     _write_history_csv(os.path.join(out, "metrics.csv"), result["history"])
     write_confusion_csv(os.path.join(out, "confusion.csv"), result["confusion"])
-    results = {
-        "wa": result["wa"], "ua": result["ua"],
-        "epochs_run": result["epochs_run"],
-        "diverged": result["diverged"],
-        "halt_reason": result["halt_reason"],
-    }
-    _write_manifest(args, {}, results)
+    _write_manifest(args, {}, result["outcome"])
     if result["diverged"]:
         print(
             f"arm-lab: error: training halted ({result['halt_reason']}); "
@@ -440,6 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     def add_train_options(q):
+        q.add_argument("--data", required=True)
+        q.add_argument("--out", required=True)
         q.add_argument("--epochs", type=int, default=30)
         q.add_argument("--batch-size", type=int, default=256)
         q.add_argument("--lr", type=float, default=0.001)
@@ -447,16 +447,13 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--seed", type=int, default=0)
         q.add_argument("--sampler", choices=["plain", "mrr"], default="plain")
         q.add_argument("--val-fraction", type=float, default=0.2)
-        q.add_argument("--smoothing", type=float, default=0.3)
-        q.add_argument("--freeze-smoothing", action="store_true")
-        q.add_argument("--widths", default="8,16,32",
-                       help="backbone widths, comma separated")
 
     p = sub.add_parser("train", help="train a head on a corpus")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--head", choices=["arm", "gap"], default="arm")
     add_train_options(p)
+    p.add_argument("--head", choices=["arm", "gap"], default="arm")
+    p.add_argument("--smoothing", type=float, default=0.3)
+    p.add_argument("--freeze-smoothing", action="store_true")
+    p.add_argument("--widths", default="8,16,32", help="backbone widths, comma separated")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
@@ -472,13 +469,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="train one stride-1 weighting head per kernel size "
         "(ARM_LAB_THREADS caps concurrency)",
     )
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    add_train_options(p)
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=8)
     p.add_argument("--out-channels", type=int, default=16)
     p.add_argument("--blocks", type=int, default=2)
-    add_train_options(p)
     p.set_defaults(func=cmd_sweep_k)
 
     p = sub.add_parser("clusters", help="per-cluster weighting of the arranged map")

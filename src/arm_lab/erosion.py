@@ -134,11 +134,13 @@ def k_sweep(
 
     Each run replaces global average pooling with a stride-1 shared
     single-channel convolution of the given kernel size and an adaptive
-    classifier layer; returns a list of per-k result dicts. Geometry, config
-    and divergence failures are recorded per k and the sweep continues; any
-    other exception propagates. ARM_LAB_THREADS (default 1) caps how many
-    kernel sizes train concurrently, on worker threads reused across calls;
-    results are ordered by input position either way.
+    classifier layer; returns a list of per-k result dicts. A geometry or
+    config failure, or a run that diverged, becomes that k's error row (NaN
+    scores; a divergence's error is its halt reason, e.g. "epoch 1:
+    non-finite loss") and the sweep continues; any other exception
+    propagates. ARM_LAB_THREADS (default 1) caps how many kernel sizes
+    train concurrently, on worker threads reused across calls; results are
+    ordered by input position either way.
     """
     from .train import train_sweep_point
 

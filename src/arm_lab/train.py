@@ -45,8 +45,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if not 0.0 < self.val_fraction < 1.0:
@@ -58,6 +58,10 @@ class TrainConfig:
                 f"sampler must be one of {SAMPLERS}, got {self.sampler!r}"
             )
         object.__setattr__(self, "backbone_widths", tuple(self.backbone_widths))
+        if not self.backbone_widths or min(self.backbone_widths) < 1:
+            raise ConfigError(
+                f"backbone_widths must be one or more widths >= 1, got {self.backbone_widths}"
+            )
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -158,9 +162,12 @@ def train(
 ) -> dict:
     """Train a network on a stratified split of the index.
 
-    Returns the trained network, per-epoch history, the final validation
-    confusion matrix, and a divergence flag. When out_dir is given, a
-    checkpoint directory is written there.
+    A non-finite loss or gradient rolls the network back to the start of
+    that epoch and ends the run. Returns the outcome record (epochs_run,
+    diverged, halt_reason, wa, ua), also under "outcome", merged with the
+    network, per-epoch history, final validation confusion matrix and
+    split indexes. When out_dir is given, a checkpoint directory is
+    written there with the outcome as its extra["result"].
     """
     if index.images is None:
         raise ConfigError("training needs a loaded index (images present)")
@@ -171,46 +178,34 @@ def train(
     optimizer = Adam(network.params(), lr=config.lr)
 
     history = []
-    diverged = False
     halt_reason = ""
-    last_good = _snapshot(network)
     for epoch in range(config.epochs):
         optimizer.lr = config.lr * config.lr_decay**epoch
         ids = epoch_sample_ids(train_index, config, epoch)
-        total_loss, total_samples = 0.0, 0
-        epoch_ok = True
-        for start in range(0, ids.size, config.batch_size):
-            batch = ids[start : start + config.batch_size]
-            images = train_index.images[batch]
-            labels = train_index.labels[batch]
-            logits, cache = network.forward(images, mode="train")
-            loss, grad_logits = softmax_cross_entropy(logits, labels)
-            if not np.isfinite(loss):
-                halt_reason = f"non-finite loss in epoch {epoch + 1}"
-                epoch_ok = False
-                break
-            network.zero_grads()
-            network.backward(grad_logits, cache)
-            try:
+        last_good = _snapshot(network)
+        total_loss = 0.0
+        try:
+            for start in range(0, ids.size, config.batch_size):
+                batch = ids[start : start + config.batch_size]
+                logits, cache = network.forward(train_index.images[batch], mode="train")
+                loss, grad_logits = softmax_cross_entropy(logits, train_index.labels[batch])
+                if not np.isfinite(loss):
+                    raise TrainingDiverged("non-finite loss")
+                network.zero_grads()
+                network.backward(grad_logits, cache)
                 optimizer.step()
-            except TrainingDiverged as exc:
-                halt_reason = f"epoch {epoch + 1}: {exc}"
-                epoch_ok = False
-                break
-            network.post_step()
-            total_loss += loss * batch.size
-            total_samples += batch.size
-        if not epoch_ok:
-            diverged = True
+                network.post_step()
+                total_loss += loss * batch.size
+        except TrainingDiverged as exc:
+            halt_reason = f"epoch {epoch + 1}: {exc}"
             network.load_state_dict(last_good)
             break
-        last_good = _snapshot(network)
         # the run's result unless a later epoch completes: a rollback restores this state
         confusion, final_wa, final_ua = evaluate(network, val_index, config.batch_size)
         history.append(
             {
                 "epoch": epoch + 1,
-                "loss": total_loss / max(1, total_samples),
+                "loss": total_loss / max(1, ids.size),
                 "lr": optimizer.lr,
                 "wa": final_wa,
                 "ua": final_ua,
@@ -224,18 +219,12 @@ def train(
             # diverged before the first epoch finished; there is nothing to score
             confusion = ConfusionMatrix(classes=list(index.classes))
             final_wa, final_ua = float("nan"), float("nan")
-    result = {
-        "network": network,
-        "description": description,
-        "history": history,
-        "diverged": diverged,
+    outcome = {
+        "epochs_run": len(history),
+        "diverged": bool(halt_reason),
         "halt_reason": halt_reason,
-        "confusion": confusion,
         "wa": final_wa,
         "ua": final_ua,
-        "epochs_run": len(history),
-        "train_index": train_index,
-        "val_index": val_index,
     }
     if out_dir is not None:
         extra = {
@@ -246,16 +235,11 @@ def train(
                 "split_seed": config.seed,
                 "input_extent": int(index.images.shape[-1]),
             },
-            "result": {
-                "epochs_run": len(history),
-                "diverged": diverged,
-                "halt_reason": halt_reason,
-                "wa": final_wa,
-                "ua": final_ua,
-            },
+            "result": outcome,
         }
         save_checkpoint(out_dir, network, extra=extra)
-    return result
+    return dict(outcome, outcome=outcome, network=network, history=history,
+                confusion=confusion, train_index=train_index, val_index=val_index)
 
 
 def train_sweep_point(
@@ -269,7 +253,9 @@ def train_sweep_point(
 
     The backbone is shortened to the requested number of stride-2 blocks so
     the kernel sweep happens on a larger spatial map. Geometry errors (kernel
-    larger than the map) propagate to the caller.
+    larger than the map) propagate to the caller, and a diverged run raises
+    TrainingDiverged with its halt reason instead of returning the scores of
+    the rolled-back network.
     """
     widths = tuple(
         max(1, out_channels // 2 ** (downsampling_blocks - 1 - i))
@@ -283,6 +269,8 @@ def train_sweep_point(
         "kernel": int(kernel),
     }
     result = train(base_config, index, description=description)
+    if result["diverged"]:
+        raise TrainingDiverged(result["halt_reason"])
     return {"k": int(kernel), "wa": result["wa"], "ua": result["ua"]}
 
 

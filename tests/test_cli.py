@@ -232,6 +232,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("bad", [
         ["--val-fraction", "0"], ["--val-fraction", "1"], ["--val-fraction", "1.5"],
         ["--val-fraction", "-0.2"], ["--head", "gap", "--smoothing", "5"],
+        ["--lr", "nan"], ["--lr", "inf"], ["--widths", "0,8"], ["--widths", "4,-8"],
     ])
     def test_out_of_range_option_is_config_error(self, corpus, tmp_path, capsys, bad):
         out = tmp_path / "out"
@@ -239,6 +240,20 @@ class TestTrainCommand:
         assert code == 5
         assert "arm-lab: error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_keeps_artifacts_and_exits_six(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["train", "--data", str(corpus), "--out", str(out), *TRAIN_ARGS,
+                     "--head", "gap", "--lr", "1e30"])
+        assert code == 6
+        assert "training halted (epoch 1: non-finite loss)" in capsys.readouterr().err
+        for name in ("metrics.csv", "confusion.csv", "checkpoint"):
+            assert (out / name).exists(), name
+        results = read_manifest(out)["results"]
+        assert results["diverged"] is True and results["epochs_run"] == 0
+        # a GAP head needs no trained state to score, so neither record holds a NaN
+        assert results == read_manifest(out / "checkpoint")["extra"]["result"]
 
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code = main(
@@ -485,6 +500,33 @@ class TestSweepCommand:
         )
         assert code == 5
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_kernels_are_failures(self, corpus, tmp_path):
+        out = tmp_path / "sweep"
+        code = main(
+            ["sweep-k", "--data", str(corpus), "--out", str(out), "--k-min", "1",
+             "--k-max", "3", "--epochs", "2", "--batch-size", "8", "--lr", "1e30"]
+        )
+        assert code == 0
+        with open(out / "sweep_k.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[0] for row in rows] == ["1", "2", "3"]
+        assert all(row[1:] == ["nan", "nan", "epoch 1: non-finite loss"] for row in rows)
+        manifest = read_manifest(out)
+        assert manifest["checks"] == {"completed": 0, "failed": len(rows)}
+        assert manifest["results"] == {"best_k": None, "best_wa": None}
+
+    @pytest.mark.parametrize(
+        "head_option", [["--widths", "4,8"], ["--smoothing", "0.9"], ["--freeze-smoothing"]]
+    )
+    def test_head_options_are_train_only(self, corpus, tmp_path, head_option):
+        # the sweep head builds its backbone from --out-channels/--blocks and has no affinity
+        code = main(
+            ["sweep-k", "--data", str(corpus), "--out", str(tmp_path / "s"), *head_option]
+        )
+        assert code == 2
+        assert not (tmp_path / "s").exists()
+
 
 class TestClustersCommand:
     def test_reference_geometry_verdict(self, tmp_path):
@@ -530,7 +572,7 @@ class TestRunRecord:
             "eval": ["--checkpoint", str(trained / "checkpoint"), "--data", str(corpus),
                      "--split", "all", "--batch-size", "8"],
             "sweep-k": ["--data", str(corpus), "--k-min", "2", "--k-max", "2",
-                        "--epochs", "1", "--batch-size", "16", "--widths", "4,8"],
+                        "--epochs", "1", "--batch-size", "16"],
             "clusters": ["--channels", "512", "--height", "7", "--width", "7", "--kernel", "4"],
         }[command]
         argv = [command, *options, "--out", str(tmp_path / "out")]

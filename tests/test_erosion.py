@@ -18,7 +18,8 @@ from arm_lab.erosion import (
     sweep_worker_count,
 )
 from arm_lab.errors import ConfigError, GeometryError, KernelTooLargeError
-from arm_lab.tensor import ConvGeometry
+from arm_lab.tensor import ConvGeometry, softmax_cross_entropy
+from arm_lab.train import TrainConfig
 
 from oracles import albino_oracle, cluster_profile_oracle, perception_oracle
 
@@ -218,3 +219,16 @@ class TestKSweepFailures:
         monkeypatch.setenv("ARM_LAB_THREADS", threads)
         with pytest.raises(RuntimeError, match="bug in the sweep point"):
             k_sweep(None, [1, 2], None)
+
+    def test_diverged_kernel_is_an_error_row(self, corpus_index, monkeypatch):
+        def nan_loss(logits, labels):
+            return float("nan"), softmax_cross_entropy(logits, labels)[1]
+
+        monkeypatch.setattr(TRAIN_MODULE, "softmax_cross_entropy", nan_loss)
+        config = TrainConfig(epochs=2, batch_size=32, seed=3, val_fraction=0.25)
+        rows = k_sweep(corpus_index, [1, 2, 3], config)
+        assert [row["k"] for row in rows] == [1, 2, 3]
+        for row in rows:
+            # the rolled-back network scores like an untrained one; that is no result
+            assert np.isnan(row["wa"]) and np.isnan(row["ua"])
+            assert row["error"] == "epoch 1: non-finite loss"

@@ -63,9 +63,14 @@ class TestTrainConfig:
             {"epochs": 0},
             {"batch_size": 0},
             {"lr": -0.1},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
             {"lr_decay": 0.0},
             {"lr_decay": 1.5},
             {"sampler": "magic"},
+            {"backbone_widths": ()},
+            {"backbone_widths": (0, 8)},
+            {"backbone_widths": (4, -8)},
         ],
     )
     def test_rejects_bad_values(self, bad):
