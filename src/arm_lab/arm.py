@@ -41,6 +41,7 @@ from .tensor import (
 )
 
 CHECKPOINT_MANIFEST = "manifest.json"
+BLOCK_CONV = (3, 2, 1)  # every backbone block convolution's kernel, stride and padding
 
 
 @dataclass(frozen=True)
@@ -345,13 +346,20 @@ class Linear(Module):
         return grad_x
 
 
+def backbone_extent(input_extent: int, depth: int) -> int:
+    """Spatial extent after depth backbone blocks; GeometryError if one does not fit."""
+    for _ in range(depth):
+        input_extent = ConvGeometry(*BLOCK_CONV, 1, 1).out_extent(input_extent)
+    return input_extent
+
+
 class ConvBlock(Conv):
-    """Bias-free 3x3 stride-2 convolution with padding 1, batch normalization, rectification."""
+    """Bias-free BLOCK_CONV convolution, batch normalization, rectification."""
 
     CHILDREN = (("bn_", "bn"),)
 
     def __init__(self, rng, in_channels, out_channels):
-        super().__init__(rng, ConvGeometry(3, 2, 1, in_channels, out_channels))
+        super().__init__(rng, ConvGeometry(*BLOCK_CONV, in_channels, out_channels))
         self.bn = BatchNorm(out_channels)
 
     def forward(self, x: np.ndarray, mode: str):
@@ -366,17 +374,13 @@ class ConvBlock(Conv):
 
 
 class TinyBackbone(Module):
-    """Stack of stride-2 blocks mapping (N, 1, E, E) to (N, C, E/2^d, E/2^d)."""
+    """Stack of blocks mapping (N, 1, E, E) to (N, C, E', E'), E' = backbone_extent(E, depth)."""
 
     def __init__(self, rng, input_extent: int, widths):
-        if input_extent % (2 ** len(widths)) != 0:
-            raise ConfigError(
-                f"input extent {input_extent} is not divisible by 2^{len(widths)}"
-            )
         sizes = [1] + [int(w) for w in widths]
         self.blocks = [ConvBlock(rng, c_in, c_out) for c_in, c_out in zip(sizes, sizes[1:])]
         self.out_channels = sizes[-1]
-        self.out_extent = input_extent // (2 ** len(widths))
+        self.out_extent = backbone_extent(input_extent, len(self.blocks))
 
     def forward(self, x: np.ndarray, mode: str):
         caches = []

@@ -40,13 +40,7 @@ from .errors import (
 )
 from .pgm import write_heatmap
 from .tensor import ConvGeometry
-from .train import (
-    TrainConfig,
-    build_arm_description,
-    build_gap_description,
-    evaluate,
-    train,
-)
+from .train import TrainConfig, build_description, evaluate, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -238,10 +232,7 @@ def cmd_train(args) -> int:
         smoothing_learnable=not args.freeze_smoothing,
         backbone_widths=tuple(_parse_int_list(args.widths, "--widths")),
     )
-    if args.head == "arm":
-        description = build_arm_description(index, config)
-    else:
-        description = build_gap_description(index, config)
+    description = build_description(index, config, args.head)
     out = _ensure_out(args.out)
     result = train(config, index, description=description,
                    out_dir=os.path.join(out, "checkpoint"))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arm import ArmConfig, Network, build_network, save_checkpoint
+from .arm import ArmConfig, Network, backbone_extent, build_network, save_checkpoint
 from .data import (
     ConfusionMatrix,
     DatasetIndex,
@@ -21,7 +21,7 @@ from .data import (
     plain_epoch_sample,
     split_index,
 )
-from .errors import ConfigError, TrainingDiverged, UninitializedStateError
+from .errors import ConfigError, DataError, TrainingDiverged, UninitializedStateError
 from .tensor import softmax_cross_entropy
 
 SAMPLERS = ("plain", "mrr")
@@ -125,33 +125,29 @@ def _snapshot(network: Network) -> dict:
     return {name: data.copy() for name, data in network.state_dict().items()}
 
 
-def build_arm_description(index: DatasetIndex, config: TrainConfig) -> dict:
-    extent = index.images.shape[-1]
-    widths = config.backbone_widths
-    arm_cfg = ArmConfig(
-        channels=widths[-1],
-        height=extent // (2 ** len(widths)),
-        width=extent // (2 ** len(widths)),
-        classes=len(index.classes),
-        smoothing_init=config.smoothing_init,
-        smoothing_learnable=config.smoothing_learnable,
-    )
-    return {
-        "type": "arm",
+def build_description(index: DatasetIndex, config: TrainConfig, head="arm", **settings) -> dict:
+    """A network description for index's square images: head, config's backbone, settings."""
+    *_, height, extent = index.images.shape
+    if height != extent:
+        raise DataError(f"images are {height}x{extent}, but a network takes square images")
+    description = {
+        "type": head,
         "input_extent": int(extent),
-        "backbone_widths": list(widths),
-        "classes": len(index.classes),
-        "arm": arm_cfg.to_dict(),
-    }
-
-
-def build_gap_description(index: DatasetIndex, config: TrainConfig) -> dict:
-    return {
-        "type": "gap",
-        "input_extent": int(index.images.shape[-1]),
         "backbone_widths": list(config.backbone_widths),
         "classes": len(index.classes),
+        **settings,
     }
+    if head == "arm":
+        side = backbone_extent(extent, len(config.backbone_widths))
+        description["arm"] = ArmConfig(
+            channels=config.backbone_widths[-1],
+            height=side,
+            width=side,
+            classes=len(index.classes),
+            smoothing_init=config.smoothing_init,
+            smoothing_learnable=config.smoothing_learnable,
+        ).to_dict()
+    return description
 
 
 def train(
@@ -173,7 +169,7 @@ def train(
         raise ConfigError("training needs a loaded index (images present)")
     train_index, val_index = split_index(index, config.val_fraction, config.seed)
     if description is None:
-        description = build_arm_description(index, config)
+        description = build_description(index, config)
     network = build_network(description, seed=config.seed)
     optimizer = Adam(network.params(), lr=config.lr)
 
@@ -185,17 +181,19 @@ def train(
         last_good = _snapshot(network)
         total_loss = 0.0
         try:
-            for start in range(0, ids.size, config.batch_size):
-                batch = ids[start : start + config.batch_size]
-                logits, cache = network.forward(train_index.images[batch], mode="train")
-                loss, grad_logits = softmax_cross_entropy(logits, train_index.labels[batch])
-                if not np.isfinite(loss):
-                    raise TrainingDiverged("non-finite loss")
-                network.zero_grads()
-                network.backward(grad_logits, cache)
-                optimizer.step()
-                network.post_step()
-                total_loss += loss * batch.size
+            # a diverging run overflows; the finite-loss and finite-gradient checks decide
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, ids.size, config.batch_size):
+                    batch = ids[start : start + config.batch_size]
+                    logits, cache = network.forward(train_index.images[batch], mode="train")
+                    loss, grad_logits = softmax_cross_entropy(logits, train_index.labels[batch])
+                    if not np.isfinite(loss):
+                        raise TrainingDiverged("non-finite loss")
+                    network.zero_grads()
+                    network.backward(grad_logits, cache)
+                    optimizer.step()
+                    network.post_step()
+                    total_loss += loss * batch.size
         except TrainingDiverged as exc:
             halt_reason = f"epoch {epoch + 1}: {exc}"
             network.load_state_dict(last_good)
@@ -261,46 +259,46 @@ def train_sweep_point(
         max(1, out_channels // 2 ** (downsampling_blocks - 1 - i))
         for i in range(downsampling_blocks)
     )
-    description = {
-        "type": "sweep",
-        "input_extent": int(index.images.shape[-1]),
-        "backbone_widths": list(widths),
-        "classes": len(index.classes),
-        "kernel": int(kernel),
-    }
-    result = train(base_config, index, description=description)
+    config = dataclasses.replace(base_config, backbone_widths=widths)
+    description = build_description(index, config, "sweep", kernel=int(kernel))
+    result = train(config, index, description=description)
     if result["diverged"]:
         raise TrainingDiverged(result["halt_reason"])
     return {"k": int(kernel), "wa": result["wa"], "ua": result["ua"]}
 
 
 def compare_heads(index: DatasetIndex, config: TrainConfig, seeds) -> dict:
-    """Paired amendment-vs-pooling runs: same data, split, and seed per pair."""
+    """Paired amendment-vs-pooling runs: same data, split, and seed per pair.
+
+    A pair with a diverged side is flagged in its row and left out of the means.
+    """
     rows = []
     for seed in seeds:
         run_config = dataclasses.replace(config, seed=int(seed))
-        arm = train(run_config, index, description=build_arm_description(index, run_config))
-        gap = train(run_config, index, description=build_gap_description(index, run_config))
-        rows.append(
-            {
-                "seed": int(seed),
-                "arm_wa": arm["wa"],
-                "arm_ua": arm["ua"],
-                "gap_wa": gap["wa"],
-                "gap_ua": gap["ua"],
-            }
-        )
-    arm_wa = np.array([r["arm_wa"] for r in rows])
-    gap_wa = np.array([r["gap_wa"] for r in rows])
-    arm_ua = np.array([r["arm_ua"] for r in rows])
-    gap_ua = np.array([r["gap_ua"] for r in rows])
+        row = {"seed": int(seed)}
+        halts = []
+        for head in ("arm", "gap"):
+            run = train(run_config, index, description=build_description(index, run_config, head))
+            row.update({f"{head}_wa": run["wa"], f"{head}_ua": run["ua"]})
+            if run["diverged"]:
+                halts.append(f"{head}: {run['halt_reason']}")
+        rows.append(dict(row, diverged=bool(halts), halt_reason="; ".join(halts)))
+    finished = [r for r in rows if not r["diverged"]]
+    arm_wa = np.array([r["arm_wa"] for r in finished])
+    gap_wa = np.array([r["gap_wa"] for r in finished])
+    arm_ua = np.array([r["arm_ua"] for r in finished])
+    gap_ua = np.array([r["gap_ua"] for r in finished])
+
+    def mean(values) -> float:  # NaN, without numpy's empty-slice warning, if none finished
+        return float(values.mean()) if finished else float("nan")
+
     summary = {
-        "runs": len(rows),
-        "mean_arm_wa": float(arm_wa.mean()),
-        "mean_gap_wa": float(gap_wa.mean()),
-        "mean_arm_ua": float(arm_ua.mean()),
-        "mean_gap_ua": float(gap_ua.mean()),
-        "mean_wa_delta": float((arm_wa - gap_wa).mean()),
-        "mean_ua_delta": float((arm_ua - gap_ua).mean()),
+        "runs": len(finished),
+        "mean_arm_wa": mean(arm_wa),
+        "mean_gap_wa": mean(gap_wa),
+        "mean_arm_ua": mean(arm_ua),
+        "mean_gap_ua": mean(gap_ua),
+        "mean_wa_delta": mean(arm_wa - gap_wa),
+        "mean_ua_delta": mean(arm_ua - gap_ua),
     }
     return {"rows": rows, "summary": summary}

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arm_lab.arm import (
     ArmConfig,
@@ -13,15 +15,18 @@ from arm_lab.arm import (
     GenericFeatureState,
     Module,
     Network,
+    TinyBackbone,
     affinity_backward,
     affinity_forward,
     affinity_update,
     arm_param_count,
+    backbone_extent,
     build_network,
     load_checkpoint,
     save_checkpoint,
 )
 from arm_lab.cli import main
+from arm_lab.erosion import albino_map
 from arm_lab.errors import ConfigError, DataError, KernelTooLargeError, UninitializedStateError
 from arm_lab.tensor import Tensor
 
@@ -279,6 +284,19 @@ class TestNetworks:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
             load_checkpoint(tmp_path)
+
+
+class TestBackboneGeometry:
+    @given(extent=st.integers(1, 40), depth=st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_one_extent_for_the_backbone_and_its_erosion(self, extent, depth):
+        side = backbone_extent(extent, depth)
+        backbone = TinyBackbone(np.random.default_rng(0), extent, [2] * depth)
+        assert backbone.out_extent == side
+        features, _ = backbone.forward(np.ones((1, 1, extent, extent), np.float32), mode="eval")
+        assert features.shape == (1, 2, side, side)
+        # the same blocks, propagated by the padding-erosion model
+        assert albino_map(extent, extent, [(3, 2, 1)] * depth).contamination.shape == (side, side)
 
 
 V1_CHECKPOINTS = Path(__file__).resolve().parent / "data" / "checkpoints_v1"

@@ -18,7 +18,7 @@ from arm_lab.cli import main
 from arm_lab.data import load_dataset
 from arm_lab.erosion import perception_map
 from arm_lab.tensor import save_tensor
-from arm_lab.train import TrainConfig, build_arm_description, build_gap_description
+from arm_lab.train import TrainConfig, build_description
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -241,7 +241,6 @@ class TestTrainCommand:
         assert "arm-lab: error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_keeps_artifacts_and_exits_six(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["train", "--data", str(corpus), "--out", str(out), *TRAIN_ARGS,
@@ -341,7 +340,7 @@ class TestEvalCommand:
     def test_untrained_amendment_state_is_runtime_error(self, corpus, tmp_path, capsys):
         index = load_dataset(corpus)
         config = TrainConfig(backbone_widths=(4, 8))
-        network = build_network(build_arm_description(index, config), seed=0)
+        network = build_network(build_description(index, config), seed=0)
         save_checkpoint(tmp_path / "fresh", network)
         code = main(
             ["eval", "--checkpoint", str(tmp_path / "fresh"), "--data", str(corpus),
@@ -461,13 +460,62 @@ class TestEvalCommand:
     def test_checkpoint_without_split_info_needs_split_all(self, corpus, tmp_path):
         index = load_dataset(corpus)
         config = TrainConfig(backbone_widths=(4, 8))
-        network = build_network(build_gap_description(index, config), seed=0)
+        network = build_network(build_description(index, config, "gap"), seed=0)
         save_checkpoint(tmp_path / "bare", network)
         code = main(
             ["eval", "--checkpoint", str(tmp_path / "bare"), "--data", str(corpus),
              "--out", str(tmp_path / "out"), "--split", "val"]
         )
         assert code == 5
+
+
+class TestInputExtent:
+    """Any square extent trains; a non-square corpus is bad data."""
+
+    @pytest.fixture(scope="class")
+    def wide_corpus(self, tmp_path_factory, corpus):
+        root = tmp_path_factory.mktemp("cli-wide") / "corpus"
+        shutil.copytree(corpus, root)
+        rows = (root / "labels.csv").read_text().splitlines()
+        rng = np.random.default_rng(0)
+        for i, row in enumerate(rows[1:], start=1):
+            rel, label = row.split(",")
+            ten_rel = rel[: -len(".pgm")] + ".ten"
+            save_tensor(root / ten_rel, rng.random((16, 32)).astype(np.float32))
+            rows[i] = f"{ten_rel},{label}"
+        (root / "labels.csv").write_text("\n".join(rows) + "\n")
+        return root
+
+    @pytest.mark.parametrize("command", [
+        ["train", *TRAIN_ARGS, "--head", "arm"],
+        ["train", *TRAIN_ARGS, "--head", "gap"],
+        ["sweep-k", "--k-min", "1", "--k-max", "2", "--epochs", "1", "--batch-size", "16"],
+    ])
+    def test_non_square_corpus_is_data_error(self, wide_corpus, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        code = main([*command, "--data", str(wide_corpus), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert "16x32" in err
+        assert not out.exists()
+
+    def test_odd_extent_trains_and_evaluates(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--out", str(corpus), "--classes", "3", "--per-class", "10",
+                     "--extent", "33", "--seed", "5"]) == 0
+        for head in ("arm", "gap"):
+            run = tmp_path / head
+            code = main(["train", "--data", str(corpus), "--out", str(run), *TRAIN_ARGS,
+                         "--head", head])
+            assert code == 0
+            network = read_manifest(run / "checkpoint")["network"]
+            assert network["input_extent"] == 33
+            if head == "arm":  # 33 -> 17 -> 9 through the two blocks
+                assert (network["arm"]["height"], network["arm"]["width"]) == (9, 9)
+            out = tmp_path / f"{head}-eval"
+            assert main(["eval", "--checkpoint", str(run / "checkpoint"), "--data", str(corpus),
+                         "--out", str(out), "--split", "val"]) == 0
+            assert read_manifest(out)["checks"]["matches_training_eval"] is True
 
 
 class TestSweepCommand:
@@ -500,7 +548,6 @@ class TestSweepCommand:
         )
         assert code == 5
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_kernels_are_failures(self, corpus, tmp_path):
         out = tmp_path / "sweep"
         code = main(

@@ -13,8 +13,7 @@ from arm_lab.tensor import Tensor, softmax_cross_entropy
 from arm_lab.train import (
     Adam,
     TrainConfig,
-    build_arm_description,
-    build_gap_description,
+    build_description,
     compare_heads,
     epoch_sample_ids,
     evaluate,
@@ -202,7 +201,7 @@ class TestTrainLoop:
 
     def test_gap_head_trains_too(self, corpus_index):
         config = small_config(epochs=1, sampler="plain")
-        description = build_gap_description(corpus_index, config)
+        description = build_description(corpus_index, config, "gap")
         result = train(config, corpus_index, description=description)
         assert result["epochs_run"] == 1
         assert 0.0 <= result["wa"] <= 1.0
@@ -217,7 +216,7 @@ class TestDivergenceHandling:
     def test_amendment_run_rolls_back_to_init(self):
         index = self.poisoned_index()
         config = small_config(epochs=3)
-        description = build_arm_description(index, config)
+        description = build_description(index, config)
         result = train(config, index, description=description)
 
         assert result["diverged"] is True
@@ -236,7 +235,7 @@ class TestDivergenceHandling:
     def test_stateless_head_still_reports_metrics(self):
         index = self.poisoned_index()
         config = small_config(epochs=2)
-        description = build_gap_description(index, config)
+        description = build_description(index, config, "gap")
         result = train(config, index, description=description)
         assert result["diverged"] is True
         assert np.isfinite(result["wa"])  # eval needs no trained state
@@ -272,8 +271,7 @@ class TestEvaluationCount:
     def test_one_evaluation_per_epoch(self, corpus_index, counted, head):
         _, calls = counted
         config = small_config(epochs=3)
-        build = build_arm_description if head == "arm" else build_gap_description
-        result = train(config, corpus_index, description=build(corpus_index, config))
+        result = train(config, corpus_index, description=build_description(corpus_index, config, head))
         assert len(calls) == 3
         last = result["history"][-1]
         assert (result["wa"], result["ua"]) == (last["wa"], last["ua"])
@@ -296,8 +294,7 @@ class TestEvaluationCount:
         monkeypatch.setattr(module, "softmax_cross_entropy", loss_nan_from_epoch_two)
         # one batch holds the whole epoch, so the second loss is epoch 2's
         config = small_config(epochs=3, batch_size=1024)
-        build = build_arm_description if head == "arm" else build_gap_description
-        result = train(config, corpus_index, description=build(corpus_index, config))
+        result = train(config, corpus_index, description=build_description(corpus_index, config, head))
         assert result["diverged"] and "epoch 2" in result["halt_reason"]
         assert len(result["history"]) == 1 and len(calls) == 1
         # what scoring the rolled-back network at the end of the run returns
@@ -316,6 +313,36 @@ class TestComparativeRuns:
         assert summary["runs"] == 2
         deltas = [row["arm_wa"] - row["gap_wa"] for row in report["rows"]]
         assert abs(summary["mean_wa_delta"] - np.mean(deltas)) <= 1e-12
+
+    def test_diverged_pairs_are_flagged_and_left_out_of_the_means(self):
+        config = small_config(epochs=2, batch_size=8, lr=1e30, seed=0)
+        report = compare_heads(memory_index((12, 12, 12)), config, seeds=[0, 1])
+        for row in report["rows"]:
+            assert row["diverged"] is True
+            assert row["halt_reason"].startswith("arm: epoch 1: non-finite loss")
+        summary = report["summary"]
+        assert summary["runs"] == 0
+        assert all(np.isnan(value) for key, value in summary.items() if key != "runs")
+
+    def test_a_diverged_side_drops_its_pair(self, corpus_index, monkeypatch):
+        module = importlib.import_module("arm_lab.train")  # arm_lab.train is the function
+        real_train = module.train
+
+        def gap_diverges_for_seed_one(config, index, description=None, out_dir=None):
+            result = real_train(config, index, description, out_dir)
+            if config.seed == 1 and description["type"] == "gap":
+                result.update(diverged=True, halt_reason="epoch 1: injected")
+            return result
+
+        monkeypatch.setattr(module, "train", gap_diverges_for_seed_one)
+        report = compare_heads(corpus_index, small_config(epochs=1), seeds=[0, 1])
+        first, second = report["rows"]
+        assert (first["diverged"], first["halt_reason"]) == (False, "")
+        assert (second["diverged"], second["halt_reason"]) == (True, "gap: epoch 1: injected")
+        summary = report["summary"]
+        assert summary["runs"] == 1
+        assert summary["mean_arm_wa"] == first["arm_wa"]
+        assert summary["mean_wa_delta"] == first["arm_wa"] - first["gap_wa"]
 
     def test_sweep_point_runs_and_propagates_geometry(self, corpus_index):
         config = small_config(epochs=1)
