@@ -390,6 +390,8 @@ class TinyBackbone(Module):
         return x, caches
 
     def backward(self, grad_out: np.ndarray, caches) -> np.ndarray:
+        # lay the head's gradient out like the activations it meets, batch innermost
+        grad_out = np.ascontiguousarray(grad_out.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
         for block, cache in zip(reversed(self.blocks), reversed(caches)):
             grad_out = block.backward(grad_out, cache)
         return grad_out

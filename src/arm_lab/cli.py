@@ -322,6 +322,10 @@ def cmd_sweep_k(args) -> int:
         raise ConfigError(
             f"need 1 <= k-min <= k-max, got {args.k_min}..{args.k_max}"
         )
+    if args.blocks < 1 or args.out_channels < 1:
+        raise ConfigError(
+            f"--blocks and --out-channels must be >= 1, got {args.blocks} and {args.out_channels}"
+        )
     index = load_dataset(args.data)
     config = _train_config(args)
     rows = k_sweep(

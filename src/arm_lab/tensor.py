@@ -4,8 +4,12 @@ Activations and gradients flow between layers as float32 NCHW arrays; only
 learnable parameters are `Tensor`s. Every reduction (convolution sums,
 normalization statistics, losses) accumulates in 64-bit before the result
 is rounded back to storage precision. Every convolution is one dense GEMM
-over a tap-major im2col matrix; a shared single-channel kernel is the dense
-convolution with one input and one output channel over all N*C planes.
+over a tap-major im2col matrix filled from a zero-padded (C, H+2p, W+2p, B)
+buffer, batch innermost; a shared single-channel kernel is the dense
+convolution with one input and one output channel over all B = N*C planes.
+Primitives take NCHW-shaped arrays of any strides. A convolution returns an
+NCHW-shaped view of a batch-innermost array, and batchnorm and relu keep
+their input's memory order, so backbone activations stay batch-innermost.
 """
 
 from __future__ import annotations
@@ -170,31 +174,35 @@ def _conv_operands(x: np.ndarray, kernel: Tensor, geom: ConvGeometry):
 
 
 def _im2col(planes: np.ndarray, geom: ConvGeometry, out_h: int, out_w: int) -> np.ndarray:
-    """Tap-major float64 (C*k*k, B*out_h*out_w) matrix of the padded input's windows.
+    """Batch-innermost float64 (C*k*k, out_h*out_w*B) matrix of the padded input's windows.
 
-    Row (c, ky, kx) holds tap (ky, kx) of channel c at every (b, i, j) output
+    Row (c, ky, kx) holds tap (ky, kx) of channel c at every (i, j, b) output
     position, so each tap is one strided copy (and float64 cast) of a
-    zero-padded float32 buffer laid out (C, B, H + 2p, W + 2p).
+    zero-padded float32 buffer laid out (C, H + 2p, W + 2p, B), whose inner
+    runs are contiguous rows of B values. planes may have any strides; the
+    buffer is filled even when p = 0, since a shared kernel's (N*C, 1, H, W)
+    planes would otherwise be read H*W values apart.
     """
     b, c, h, w = planes.shape
     k, s, p = geom.kernel, geom.stride, geom.padding
-    src = planes.transpose(1, 0, 2, 3)
-    if p:
-        src = np.zeros((c, b, h + 2 * p, w + 2 * p), np.float32)
-        src[:, :, p : p + h, p : p + w] = planes.transpose(1, 0, 2, 3)
-    cols = np.empty((c, k, k, b, out_h, out_w))
+    src = np.zeros((c, h + 2 * p, w + 2 * p, b), np.float32)
+    src[:, p : p + h, p : p + w] = planes.transpose(1, 2, 3, 0)
+    cols = np.empty((c, k, k, out_h, out_w, b))
     for ky in range(k):
         for kx in range(k):
-            cols[:, ky, kx] = src[:, :, ky : ky + s * out_h : s, kx : kx + s * out_w : s]
-    return cols.reshape(c * k * k, b * out_h * out_w)
+            cols[:, ky, kx] = src[:, ky : ky + s * out_h : s, kx : kx + s * out_w : s]
+    return cols.reshape(c * k * k, out_h * out_w * b)
 
 
 def conv2d_forward(x: np.ndarray, kernel: Tensor, geom: ConvGeometry) -> np.ndarray:
-    """Cross-correlate x with the kernel; padding logically extends x with zeros."""
+    """Cross-correlate x with the kernel; padding logically extends x with zeros.
+
+    The result is an NCHW-shaped view of a batch-innermost (O, out_h, out_w, N)
+    array, so a following convolution's im2col copies contiguous batch rows.
+    """
     planes, kmat, out_h, out_w = _conv_operands(x, kernel, geom)
-    out = kmat @ _im2col(planes, geom, out_h, out_w)
-    out = out.reshape(-1, planes.shape[0], out_h, out_w).transpose(1, 0, 2, 3)
-    return out.astype(np.float32, order="C").reshape(x.shape[0], -1, out_h, out_w)
+    out = (kmat @ _im2col(planes, geom, out_h, out_w)).reshape(-1, out_h, out_w, planes.shape[0])
+    return out.astype(np.float32).transpose(3, 0, 1, 2).reshape(x.shape[0], -1, out_h, out_w)
 
 
 def conv2d_backward(
@@ -202,10 +210,11 @@ def conv2d_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of sum(grad_out * conv2d_forward(x)) w.r.t. x and the kernel.
 
-    With go the output gradient as an (O, B*out_h*out_w) matrix, the kernel
+    With go the output gradient as an (O, out_h*out_w*B) matrix, the kernel
     gradient is go @ cols^T and the column gradient W^T @ go; col2im then adds
-    each tap's contiguous plane back onto the padded input, taps in (ky, kx)
-    order.
+    each tap's plane back onto a float64 (C, H + 2p, W + 2p, B) buffer, taps
+    in (ky, kx) order. grad_x is an NCHW-shaped view of that buffer's float32
+    interior, batch-innermost like the forward output.
     """
     planes, kmat, out_h, out_w = _conv_operands(x, kernel, geom)
     expected = (x.shape[0], geom.out_channels, out_h, out_w)
@@ -215,20 +224,19 @@ def conv2d_backward(
         )
     b, ci, h, w = planes.shape
     k, s, p = geom.kernel, geom.stride, geom.padding
-    go = grad_out.reshape(b, -1, out_h, out_w).transpose(1, 0, 2, 3)
+    go = grad_out.reshape(b, -1, out_h, out_w).transpose(1, 2, 3, 0)
     go = go.astype(np.float64, order="C").reshape(kmat.shape[0], -1)
     cols = _im2col(planes, geom, out_h, out_w)
     grad_kernel = (go @ cols.T).reshape(kernel.shape)
     del cols  # keep one column-sized buffer live at a time
-    grad_cols = (kmat.T @ go).reshape(ci, k, k, b, out_h, out_w)
-    grad_padded = np.zeros((ci, b, h + 2 * p, w + 2 * p))
+    grad_cols = (kmat.T @ go).reshape(ci, k, k, out_h, out_w, b)
+    grad_padded = np.zeros((ci, h + 2 * p, w + 2 * p, b))
     for ky in range(k):
         for kx in range(k):
-            tap = grad_padded[:, :, ky : ky + s * out_h : s, kx : kx + s * out_w : s]
+            tap = grad_padded[:, ky : ky + s * out_h : s, kx : kx + s * out_w : s]
             tap += grad_cols[:, ky, kx]
-    grad_x = grad_padded[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
-    grad_x = grad_x.astype(np.float32, order="C").reshape(x.shape)
-    return grad_x, grad_kernel.astype(np.float32)
+    grad_x = grad_padded[:, p : p + h, p : p + w].astype(np.float32).transpose(3, 0, 1, 2)
+    return grad_x.reshape(x.shape), grad_kernel.astype(np.float32)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

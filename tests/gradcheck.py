@@ -8,6 +8,7 @@ many geometries.
 
 import copy
 import zlib
+from functools import partial
 
 import numpy as np
 
@@ -86,6 +87,19 @@ def _probe(forward, analytic_fn, x0: np.ndarray, rng, step=1e-3) -> float:
     return _rel_error(fd, analytic)
 
 
+# A conv or batchnorm case's layout lays out every NCHW activation and output
+# gradient it feeds the layer, finite-difference probes included.
+
+
+def nchw(a: np.ndarray) -> np.ndarray:
+    return a
+
+
+def batch_innermost(a: np.ndarray) -> np.ndarray:
+    """The values of NCHW array a in memory order (C, H, W, N), as convolutions return them."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
 def _conv_setup(rng, shared: bool):
     n = int(rng.integers(2, 4))
     c = int(rng.integers(2, 5))
@@ -101,38 +115,21 @@ def _conv_setup(rng, shared: bool):
     return x, kernel, geom
 
 
-def case_conv_input(rng) -> float:
-    x, kernel, geom = _conv_setup(rng, shared=False)
+def case_conv_input(rng, shared=False, layout=nchw) -> float:
+    x, kernel, geom = _conv_setup(rng, shared)
     return _probe(
-        lambda t: conv2d_forward(t, Tensor(kernel), geom),
-        lambda w: conv2d_backward(w, x, Tensor(kernel), geom)[0],
+        lambda t: conv2d_forward(layout(t), Tensor(kernel), geom),
+        lambda w: conv2d_backward(layout(w), layout(x), Tensor(kernel), geom)[0],
         x, rng,
     )
 
 
-def case_conv_kernel(rng) -> float:
-    x, kernel, geom = _conv_setup(rng, shared=False)
+def case_conv_kernel(rng, shared=False, layout=nchw) -> float:
+    x, kernel, geom = _conv_setup(rng, shared)
+    x = layout(x)
     return _probe(
         lambda t: conv2d_forward(x, Tensor(t), geom),
-        lambda w: conv2d_backward(w, x, Tensor(kernel), geom)[1],
-        kernel, rng,
-    )
-
-
-def case_shared_conv_input(rng) -> float:
-    x, kernel, geom = _conv_setup(rng, shared=True)
-    return _probe(
-        lambda t: conv2d_forward(t, Tensor(kernel), geom),
-        lambda w: conv2d_backward(w, x, Tensor(kernel), geom)[0],
-        x, rng,
-    )
-
-
-def case_shared_conv_kernel(rng) -> float:
-    x, kernel, geom = _conv_setup(rng, shared=True)
-    return _probe(
-        lambda t: conv2d_forward(x, Tensor(t), geom),
-        lambda w: conv2d_backward(w, x, Tensor(kernel), geom)[1],
+        lambda w: conv2d_backward(layout(w), x, Tensor(kernel), geom)[1],
         kernel, rng,
     )
 
@@ -147,39 +144,27 @@ def _bn_setup(rng):
     return x, scale, shift, c
 
 
-def _bn_case(rng, which: str) -> float:
+def case_batchnorm(rng, which: str, layout=nchw) -> float:
     x, scale, shift, c = _bn_setup(rng)
 
     def forward(t: np.ndarray) -> np.ndarray:
         parts = {"x": x, "scale": scale, "shift": shift}
         parts[which] = t
         out, _ = batchnorm(
-            parts["x"], Tensor(parts["scale"]), Tensor(parts["shift"]), RunningStats.init(c),
-            mode="train",
+            layout(parts["x"]), Tensor(parts["scale"]), Tensor(parts["shift"]),
+            RunningStats.init(c), mode="train",
         )
         return out
 
     def analytic(w: np.ndarray):
         _, cache = batchnorm(
-            x, Tensor(scale), Tensor(shift), RunningStats.init(c), mode="train"
+            layout(x), Tensor(scale), Tensor(shift), RunningStats.init(c), mode="train"
         )
-        gx, gs, gb = batchnorm_backward(w, cache)
+        gx, gs, gb = batchnorm_backward(layout(w), cache)
         return {"x": gx, "scale": gs, "shift": gb}[which]
 
     x0 = {"x": x, "scale": scale, "shift": shift}[which]
     return _probe(forward, analytic, x0, rng)
-
-
-def case_batchnorm_input(rng) -> float:
-    return _bn_case(rng, "x")
-
-
-def case_batchnorm_scale(rng) -> float:
-    return _bn_case(rng, "scale")
-
-
-def case_batchnorm_shift(rng) -> float:
-    return _bn_case(rng, "shift")
 
 
 def _linear_setup(rng):
@@ -295,14 +280,20 @@ def case_cross_entropy(rng) -> float:
     return _rel_error(fd, analytic)
 
 
+LAYER_CASES = {
+    "conv_input": case_conv_input,
+    "conv_kernel": case_conv_kernel,
+    "shared_conv_input": partial(case_conv_input, shared=True),
+    "shared_conv_kernel": partial(case_conv_kernel, shared=True),
+    "batchnorm_input": partial(case_batchnorm, which="x"),
+    "batchnorm_scale": partial(case_batchnorm, which="scale"),
+    "batchnorm_shift": partial(case_batchnorm, which="shift"),
+}
+
 CASES = {
-    "conv_input": (case_conv_input, TOLERANCE),
-    "conv_kernel": (case_conv_kernel, TOLERANCE),
-    "shared_conv_input": (case_shared_conv_input, TOLERANCE),
-    "shared_conv_kernel": (case_shared_conv_kernel, TOLERANCE),
-    "batchnorm_input": (case_batchnorm_input, TOLERANCE),
-    "batchnorm_scale": (case_batchnorm_scale, TOLERANCE),
-    "batchnorm_shift": (case_batchnorm_shift, TOLERANCE),
+    **{name: (fn, TOLERANCE) for name, fn in LAYER_CASES.items()},
+    **{f"{name}_batch_innermost": (partial(fn, layout=batch_innermost), TOLERANCE)
+       for name, fn in LAYER_CASES.items()},
     "linear_input": (case_linear_input, TOLERANCE),
     "linear_weight": (case_linear_weight, TOLERANCE),
     "linear_bias": (case_linear_bias, TOLERANCE),

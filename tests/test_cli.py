@@ -548,6 +548,17 @@ class TestSweepCommand:
         )
         assert code == 5
 
+    @pytest.mark.parametrize("option", [["--blocks", "0"], ["--blocks", "-1"],
+                                        ["--out-channels", "0"]])
+    def test_bad_backbone_is_config_error_before_loading(self, tmp_path, capsys, option):
+        out = tmp_path / "s"
+        # the corpus does not exist: the check must come before it is read
+        code = main(["sweep-k", "--data", str(tmp_path / "absent"), "--out", str(out),
+                     "--k-min", "1", "--k-max", "2", *option])
+        assert code == 5
+        assert "--blocks and --out-channels must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diverged_kernels_are_failures(self, corpus, tmp_path):
         out = tmp_path / "sweep"
         code = main(

@@ -22,7 +22,7 @@ from arm_lab.tensor import (
     softmax_cross_entropy,
 )
 
-from gradcheck import finite_diff_grad
+from gradcheck import batch_innermost, finite_diff_grad
 from oracles import conv2d_forward_naive, conv_backward_oracle, conv_oracle
 
 # (n, c, h, w, k, s, p, out_channels, shared)
@@ -129,32 +129,58 @@ class TestConvGeometry:
             ConvGeometry(3, 1, 0, 2, 4, shared_single_channel=True)
 
 
+def in_layout(a: np.ndarray, layout: str) -> np.ndarray:
+    """The values of NCHW array a, laid out in memory as the layout names."""
+    if layout == "nchw":
+        return np.ascontiguousarray(a)
+    if layout == "batch_innermost":
+        return batch_innermost(a)
+    n, c, h, w = a.shape  # "sliced": every other column of a larger buffer, offset one sample
+    buf = np.full((n + 1, c, h, 2 * w), np.nan, a.dtype)
+    buf[1:, :, :, ::2] = a
+    return buf[1:, :, :, ::2]
+
+
+# every conv case in each layout; the NCHW cases keep their plain ids
+CONV_LAYOUT_CASES = [
+    pytest.param(*case, layout, id="-".join(map(str, case)) + f"-{layout}" * (layout != "nchw"))
+    for layout in ("nchw", "batch_innermost", "sliced")
+    for case in CONV_CASES
+]
+
+
 class TestConv2d:
-    @pytest.mark.parametrize("n,c,h,w,k,s,p,oc,shared", CONV_CASES)
-    def test_matches_loop_oracle_and_naive_path(self, n, c, h, w, k, s, p, oc, shared):
+    @pytest.mark.parametrize("n,c,h,w,k,s,p,oc,shared,layout", CONV_LAYOUT_CASES)
+    def test_matches_loop_oracle_and_naive_path(self, n, c, h, w, k, s, p, oc, shared, layout):
         rng = np.random.default_rng([n, c, h, w, k, s, p])
         geom = ConvGeometry(k, s, p, c, oc, shared_single_channel=shared)
         x = rng.standard_normal((n, c, h, w)).astype(np.float32)
         kernel = Tensor(rng.standard_normal(geom.kernel_shape()).astype(np.float32))
-        fast = conv2d_forward(x, kernel, geom)
+        fast = conv2d_forward(in_layout(x, layout), kernel, geom)
         naive = conv2d_forward_naive(x, kernel.data, s, p, shared)
         oracle = conv_oracle(x, kernel.data, s, p, shared)
         assert np.abs(fast - naive).max() <= 1e-6
         assert np.abs(fast.astype(np.float64) - oracle).max() <= 1e-5
+        # the layout decides only where values are read from, never their sums
+        assert np.array_equal(fast, conv2d_forward(x, kernel, geom))
 
-    @pytest.mark.parametrize("n,c,h,w,k,s,p,oc,shared", CONV_CASES)
-    def test_backward_matches_loop_oracle(self, n, c, h, w, k, s, p, oc, shared):
+    @pytest.mark.parametrize("n,c,h,w,k,s,p,oc,shared,layout", CONV_LAYOUT_CASES)
+    def test_backward_matches_loop_oracle(self, n, c, h, w, k, s, p, oc, shared, layout):
         rng = np.random.default_rng([n, c, h, w, k, s, p, 1])
         geom = ConvGeometry(k, s, p, c, oc, shared_single_channel=shared)
         x = rng.standard_normal((n, c, h, w)).astype(np.float32)
         kernel = Tensor(rng.standard_normal(geom.kernel_shape()).astype(np.float32))
         out_shape = (n, oc, geom.out_extent(h), geom.out_extent(w))
         grad_out = rng.standard_normal(out_shape).astype(np.float32)
-        grad_x, grad_kernel = conv2d_backward(grad_out, x, kernel, geom)
+        grad_x, grad_kernel = conv2d_backward(
+            in_layout(grad_out, layout), in_layout(x, layout), kernel, geom
+        )
         want_x, want_kernel = conv_backward_oracle(x, kernel.data, grad_out, s, p, shared)
         assert grad_x.shape == x.shape and grad_kernel.shape == kernel.shape
         assert np.abs(grad_x.astype(np.float64) - want_x).max() <= 1e-5
         assert np.abs(grad_kernel.astype(np.float64) - want_kernel).max() <= 1e-5
+        nchw_x, nchw_kernel = conv2d_backward(grad_out, x, kernel, geom)
+        assert np.array_equal(grad_x, nchw_x) and np.array_equal(grad_kernel, nchw_kernel)
 
     def test_padding_equals_explicit_zero_extension(self):
         """Padded convolution must equal p=0 on an explicitly extended input, bit for bit."""
@@ -179,6 +205,25 @@ class TestConv2d:
             single_geom = ConvGeometry(2, 1, 0, 1, 1, shared_single_channel=True)
             single = conv2d_forward(x[:, ci : ci + 1], kernel, single_geom)
             assert np.array_equal(full[:, ci : ci + 1], single)
+
+    def test_backbone_activations_stay_batch_innermost(self):
+        """Every backbone block's outputs keep the layout the next im2col copies fastest."""
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((16, 1, 32, 32)).astype(np.float32)  # NCHW images
+        for c_in, c_out in [(1, 8), (8, 16), (16, 32)]:
+            geom = ConvGeometry(3, 2, 1, c_in, c_out)
+            kernel = Tensor(kaiming_uniform(rng, geom.kernel_shape(), c_in * 9))
+            conv = conv2d_forward(x, kernel, geom)
+            normalized, _ = batchnorm(
+                conv, Tensor(np.ones(c_out, np.float32)), Tensor(np.zeros(c_out, np.float32)),
+                RunningStats.init(c_out),
+            )
+            activated = relu(normalized)
+            grad_out = rng.standard_normal(conv.shape).astype(np.float32)  # NCHW, as heads give
+            grad_x, _ = conv2d_backward(grad_out, x, kernel, geom)
+            for out in (conv, normalized, activated, grad_x):
+                assert out.transpose(1, 2, 3, 0).flags.c_contiguous
+            x = activated
 
     def test_channel_mismatch_raises(self):
         geom = ConvGeometry(3, 1, 0, 4, 4)
