@@ -365,11 +365,13 @@ class ConvBlock(Conv):
     def forward(self, x: np.ndarray, mode: str):
         conv_out, _ = super().forward(x, mode)
         bn_out, bn_cache = self.bn.forward(conv_out, mode)
-        return relu(bn_out), (x, bn_out, bn_cache)
+        # bn_out is fresh, so it is rectified in place; it is positive exactly where it was
+        activated = relu(bn_out, out=bn_out)
+        return activated, (x, activated, bn_cache)
 
     def backward(self, grad_out: np.ndarray, cache) -> np.ndarray:
-        x, bn_out, bn_cache = cache
-        grad_conv = self.bn.backward(relu_backward(grad_out, bn_out), bn_cache)
+        x, activated, bn_cache = cache
+        grad_conv = self.bn.backward(relu_backward(grad_out, activated), bn_cache)
         return super().backward(grad_conv, x)
 
 

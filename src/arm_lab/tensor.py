@@ -10,6 +10,11 @@ convolution with one input and one output channel over all B = N*C planes.
 Primitives take NCHW-shaped arrays of any strides. A convolution returns an
 NCHW-shaped view of a batch-innermost array, and batchnorm and relu keep
 their input's memory order, so backbone activations stay batch-innermost.
+Full-size scratch arrays are reused rather than allocated afresh at each
+step: batchnorm and batchnorm_backward each work in at most two float64
+arrays, ReLU can rectify a fresh array in place, and conv2d_backward writes
+the column gradient into the column buffer. Each reuse evaluates the same
+expressions in the same order, so every result is unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -211,10 +216,12 @@ def conv2d_backward(
     """Gradients of sum(grad_out * conv2d_forward(x)) w.r.t. x and the kernel.
 
     With go the output gradient as an (O, out_h*out_w*B) matrix, the kernel
-    gradient is go @ cols^T and the column gradient W^T @ go; col2im then adds
-    each tap's plane back onto a float64 (C, H + 2p, W + 2p, B) buffer, taps
-    in (ky, kx) order. grad_x is an NCHW-shaped view of that buffer's float32
-    interior, batch-innermost like the forward output.
+    gradient is go @ cols^T and the column gradient W^T @ go, written into
+    the cols buffer once the kernel gradient has been taken from it, so one
+    column-sized buffer serves both; col2im then adds each tap's plane back
+    onto a float64 (C, H + 2p, W + 2p, B) buffer, taps in (ky, kx) order.
+    grad_x is an NCHW-shaped view of that buffer's float32 interior,
+    batch-innermost like the forward output.
     """
     planes, kmat, out_h, out_w = _conv_operands(x, kernel, geom)
     expected = (x.shape[0], geom.out_channels, out_h, out_w)
@@ -228,8 +235,7 @@ def conv2d_backward(
     go = go.astype(np.float64, order="C").reshape(kmat.shape[0], -1)
     cols = _im2col(planes, geom, out_h, out_w)
     grad_kernel = (go @ cols.T).reshape(kernel.shape)
-    del cols  # keep one column-sized buffer live at a time
-    grad_cols = (kmat.T @ go).reshape(ci, k, k, out_h, out_w, b)
+    grad_cols = np.matmul(kmat.T, go, out=cols).reshape(ci, k, k, out_h, out_w, b)
     grad_padded = np.zeros((ci, h + 2 * p, w + 2 * p, b))
     for ky in range(k):
         for kx in range(k):
@@ -239,12 +245,19 @@ def conv2d_backward(
     return grad_x.reshape(x.shape), grad_kernel.astype(np.float32)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0); out=x rectifies x in place, as numpy's own out= does."""
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, grad_out, 0.0)
+    """grad_out where x > 0, +0.0 elsewhere: the masked multiply leaves -0.0
+    where a negative gradient is masked, and adding +0.0 clears the sign, so
+    this equals np.where(x > 0, grad_out, 0.0) bit for bit for finite grad_out.
+    """
+    grad = np.multiply(x > 0.0, grad_out)
+    grad += 0.0
+    return grad
 
 
 BN_MOMENTUM = 0.1  # weight of each train batch in the running statistics
@@ -282,6 +295,13 @@ def batchnorm(
     Train mode normalizes with batch statistics (biased variance), folds them
     into the running estimates and returns the backward cache; eval mode uses
     the running estimates, leaves them alone and returns no cache.
+
+    x is never written. Its one float64 copy is centred and then scaled in
+    place into xhat, which the cache keeps. In train mode a second float64
+    array holds the squares for the variance and is then overwritten with
+    the output; eval mode caches nothing, so xhat itself becomes the output.
+    The values and their summation order are those of np.var and
+    (x - mean) * inv_std * scale + shift.
     """
     if x.ndim != 4:
         raise GeometryError(f"batchnorm expects NCHW input, got rank {x.ndim}")
@@ -295,35 +315,49 @@ def batchnorm(
     data = x.astype(np.float64)
     if mode == "train":
         mean = data.mean(axis=(0, 2, 3))
-        var = data.var(axis=(0, 2, 3))
+        data -= mean[None, :, None, None]
+        out = np.square(data)
+        var = out.sum(axis=(0, 2, 3)) / (data.size // c)
         running.mean = ((1.0 - BN_MOMENTUM) * running.mean + BN_MOMENTUM * mean).astype(np.float32)
         running.var = ((1.0 - BN_MOMENTUM) * running.var + BN_MOMENTUM * var).astype(np.float32)
     else:
-        mean = running.mean.astype(np.float64)
+        data -= running.mean.astype(np.float64)[None, :, None, None]
         var = running.var.astype(np.float64)
+        out = data
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    data *= inv_std[None, :, None, None]
     scale64 = scale.data.astype(np.float64)
-    out = xhat * scale64[None, :, None, None]
+    np.multiply(data, scale64[None, :, None, None], out=out)
     out += shift.data.astype(np.float64)[None, :, None, None]
-    cache = BatchNormCache(xhat, inv_std, scale64) if mode == "train" else None
+    cache = BatchNormCache(data, inv_std, scale64) if mode == "train" else None
     return out.astype(np.float32), cache
 
 
 def batchnorm_backward(
     grad_out: np.ndarray, cache: BatchNormCache
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    go = grad_out.astype(np.float64)
+    """Gradients of batchnorm w.r.t. x, scale and shift, from a train-mode cache.
+
+    grad_x = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std with
+    dxhat = grad_out * scale, evaluated left to right in two float64 arrays:
+    go becomes dxhat and then the difference, and tmp holds each product
+    with xhat in the memory order a fresh product would have.
+    """
+    axes = (0, 2, 3)
     xhat = cache.xhat
-    grad_scale = np.sum(go * xhat, axis=(0, 2, 3))
-    grad_shift = np.sum(go, axis=(0, 2, 3))
-    dxhat = go * cache.scale[None, :, None, None]
-    grad_x = (
-        dxhat
-        - dxhat.mean(axis=(0, 2, 3), keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-    ) * cache.inv_std[None, :, None, None]
-    return grad_x.astype(np.float32), grad_scale.astype(np.float32), grad_shift.astype(np.float32)
+    go = grad_out.astype(np.float64)
+    tmp = np.multiply(go, xhat)
+    grad_scale = tmp.sum(axis=axes)
+    grad_shift = go.sum(axis=axes)
+    go *= cache.scale[None, :, None, None]  # dxhat
+    mean_dxhat = go.mean(axis=axes, keepdims=True)
+    np.multiply(go, xhat, out=tmp)
+    mean_dxhat_xhat = tmp.mean(axis=axes, keepdims=True)
+    go -= mean_dxhat
+    np.multiply(xhat, mean_dxhat_xhat, out=tmp)
+    go -= tmp
+    go *= cache.inv_std[None, :, None, None]
+    return go.astype(np.float32), grad_scale.astype(np.float32), grad_shift.astype(np.float32)
 
 
 def linear(x: np.ndarray, weight: Tensor, bias: Tensor) -> np.ndarray:

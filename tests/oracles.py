@@ -138,6 +138,53 @@ def conv_backward_oracle(
     return grad_x, grad_kernel
 
 
+# The three expressions below are batchnorm, batchnorm_backward and
+# relu_backward as written before their scratch arrays were reused. They are
+# not loops: the primitives must equal them bit for bit, so they keep the
+# exact operations, memory orders and evaluation order of that version.
+BN_ORACLE_MOMENTUM = 0.1
+BN_ORACLE_EPS = 1e-5
+
+
+def batchnorm_oracle(x, scale, shift, running_mean, running_var, mode):
+    """(out, new running mean, new running var, (xhat, inv_std, scale64) or None)."""
+    data = x.astype(np.float64)
+    if mode == "train":
+        mean = data.mean(axis=(0, 2, 3))
+        var = data.var(axis=(0, 2, 3))
+        m = BN_ORACLE_MOMENTUM
+        running_mean = ((1.0 - m) * running_mean + m * mean).astype(np.float32)
+        running_var = ((1.0 - m) * running_var + m * var).astype(np.float32)
+    else:
+        mean = running_mean.astype(np.float64)
+        var = running_var.astype(np.float64)
+    inv_std = 1.0 / np.sqrt(var + BN_ORACLE_EPS)
+    xhat = (data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    scale64 = scale.astype(np.float64)
+    out = xhat * scale64[None, :, None, None]
+    out += shift.astype(np.float64)[None, :, None, None]
+    cache = (xhat, inv_std, scale64) if mode == "train" else None
+    return out.astype(np.float32), running_mean, running_var, cache
+
+
+def batchnorm_backward_oracle(grad_out, xhat, inv_std, scale64):
+    """(grad_x, grad_scale, grad_shift) from a train-mode batchnorm_oracle cache."""
+    go = grad_out.astype(np.float64)
+    grad_scale = np.sum(go * xhat, axis=(0, 2, 3))
+    grad_shift = np.sum(go, axis=(0, 2, 3))
+    dxhat = go * scale64[None, :, None, None]
+    grad_x = (
+        dxhat
+        - dxhat.mean(axis=(0, 2, 3), keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
+    ) * inv_std[None, :, None, None]
+    return grad_x.astype(np.float32), grad_scale.astype(np.float32), grad_shift.astype(np.float32)
+
+
+def relu_backward_oracle(grad_out, x):
+    return np.where(x > 0.0, grad_out, 0.0)
+
+
 def perception_oracle(height: int, width: int, k: int, s: int, p: int) -> np.ndarray:
     """Slide every window explicitly and count which real pixels it covers."""
     out_h = (height + 2 * p - k) // s + 1

@@ -12,6 +12,7 @@ from arm_lab.arm import (
     ArmConfig,
     ArmHead,
     BatchNorm,
+    ConvBlock,
     GenericFeatureState,
     Module,
     Network,
@@ -28,9 +29,18 @@ from arm_lab.arm import (
 from arm_lab.cli import main
 from arm_lab.erosion import albino_map
 from arm_lab.errors import ConfigError, DataError, KernelTooLargeError, UninitializedStateError
-from arm_lab.tensor import Tensor
+from arm_lab.tensor import (
+    RunningStats,
+    Tensor,
+    batchnorm,
+    batchnorm_backward,
+    conv2d_backward,
+    conv2d_forward,
+    relu_backward,
+)
 
-from oracles import arm_shape_trace
+from gradcheck import batch_innermost
+from oracles import arm_shape_trace, relu_backward_oracle
 
 
 class TestArmConfig:
@@ -284,6 +294,30 @@ class TestNetworks:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
             load_checkpoint(tmp_path)
+
+
+class TestConvBlock:
+    def test_in_place_relu_keeps_the_input_and_the_gradient(self):
+        """The block rectifies its own BatchNorm output in place and caches that activation."""
+        rng = np.random.default_rng(21)
+        block = ConvBlock(rng, 4, 8)
+        x = batch_innermost(rng.standard_normal((6, 4, 10, 10)).astype(np.float32))
+        before = x.copy()
+        out, cache = block.forward(x, "train")
+        assert np.array_equal(x, before)
+        assert cache[1] is out
+        pre, bn_cache = batchnorm(
+            conv2d_forward(x, block.kernel, block.geom), block.bn.scale, block.bn.shift,
+            RunningStats.init(8),
+        )
+        assert np.array_equal(out, np.maximum(pre, 0.0))
+        grad_out = rng.standard_normal(out.shape).astype(np.float32)
+        masked = relu_backward_oracle(grad_out, pre)
+        got = relu_backward(grad_out, cache[1])
+        assert np.array_equal(got, masked) and np.array_equal(np.signbit(got), np.signbit(masked))
+        grad_conv, _, _ = batchnorm_backward(masked, bn_cache)
+        want_x, _ = conv2d_backward(grad_conv, x, block.kernel, block.geom)
+        assert np.array_equal(block.backward(grad_out, cache), want_x)
 
 
 class TestBackboneGeometry:

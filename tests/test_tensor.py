@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,19 +12,29 @@ from arm_lab.tensor import (
     RunningStats,
     Tensor,
     batchnorm,
+    batchnorm_backward,
     channel_mean,
+    channel_mean_backward,
     conv2d_backward,
     conv2d_forward,
     kaiming_uniform,
     linear,
     load_tensor,
     relu,
+    relu_backward,
     save_tensor,
     softmax_cross_entropy,
 )
 
 from gradcheck import batch_innermost, finite_diff_grad
-from oracles import conv2d_forward_naive, conv_backward_oracle, conv_oracle
+from oracles import (
+    batchnorm_backward_oracle,
+    batchnorm_oracle,
+    conv2d_forward_naive,
+    conv_backward_oracle,
+    conv_oracle,
+    relu_backward_oracle,
+)
 
 # (n, c, h, w, k, s, p, out_channels, shared)
 CONV_CASES = [
@@ -278,6 +289,116 @@ class TestBatchNorm:
         )[None, :, None, None]
         assert np.abs(out - expected).max() <= 1e-6
         assert cache is None
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 is not +0.0
+
+
+def traced_peak(fn) -> int:
+    """Bytes allocated at the peak of fn(), over what was live before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+BLOCK0_SHAPE = (252, 8, 16, 16)  # block 0's BatchNorm input in the train-arm step
+# (x layout, gradient layout); "head" is the ARM head's mix: a batch-innermost x
+# with the C-order NCHW gradient that channel_mean_backward returns
+SCRATCH_LAYOUTS = [
+    ("nchw", "nchw"),
+    ("batch_innermost", "batch_innermost"),
+    ("sliced", "sliced"),
+    ("batch_innermost", "head"),
+]
+
+
+def gradient_in(rng, shape, layout: str) -> np.ndarray:
+    n, c, h, w = shape
+    if layout == "head":
+        return channel_mean_backward(rng.standard_normal((n, h, w)).astype(np.float32), c)
+    if layout == "channel_constant":
+        # batchnorm's input gradient is then zero up to rounding, so the float32
+        # result keeps the float64 rounding of every step and shows its order
+        per_channel = rng.standard_normal(c).astype(np.float32)[None, :, None, None]
+        return np.ascontiguousarray(np.broadcast_to(per_channel, shape))
+    return in_layout(rng.standard_normal(shape).astype(np.float32), layout)
+
+
+class TestScratchReuse:
+    """The in-place primitives equal the expressions they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(5, 3, 6, 4), BLOCK0_SHAPE], ids=["small", "block0"])
+    @pytest.mark.parametrize(
+        "x_layout,grad_layout",
+        SCRATCH_LAYOUTS + [("nchw", "channel_constant"), ("batch_innermost", "channel_constant")],
+    )
+    def test_batchnorm_matches_the_old_expressions(self, shape, x_layout, grad_layout):
+        rng = np.random.default_rng(list(shape))
+        c = shape[1]
+        x = in_layout((rng.standard_normal(shape) * 2.0 + 0.5).astype(np.float32), x_layout)
+        scale = rng.uniform(0.5, 1.5, c).astype(np.float32)
+        shift = rng.standard_normal(c).astype(np.float32)
+        before = x.copy()
+        for mode in ("train", "eval"):
+            running = RunningStats(
+                rng.standard_normal(c).astype(np.float32), rng.uniform(0.5, 2.0, c).astype(np.float32)
+            )
+            want_out, want_mean, want_var, want_cache = batchnorm_oracle(
+                x, scale, shift, running.mean, running.var, mode
+            )
+            out, cache = batchnorm(x, Tensor(scale), Tensor(shift), running, mode)
+            assert np.array_equal(x, before)  # x is never written
+            assert_same_bits(out, want_out)
+            assert_same_bits(running.mean, want_mean)
+            assert_same_bits(running.var, want_var)
+            if mode == "eval":
+                assert cache is None
+                continue
+            for got, want in zip((cache.xhat, cache.inv_std, cache.scale), want_cache):
+                assert_same_bits(got, want)
+            grad = gradient_in(rng, shape, grad_layout)
+            got_grads = batchnorm_backward(grad, cache)
+            want_grads = batchnorm_backward_oracle(grad, *want_cache)
+            for got, want in zip(got_grads, want_grads):
+                assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("x_layout,grad_layout", SCRATCH_LAYOUTS)
+    def test_relu_backward_matches_where(self, x_layout, grad_layout):
+        rng = np.random.default_rng(13)
+        shape = (6, 4, 5, 7)
+        x = rng.standard_normal(shape).astype(np.float32)
+        x.reshape(-1)[::7] = 0.0
+        x.reshape(-1)[3::11] = -0.0
+        x = in_layout(x, x_layout)
+        grad = gradient_in(rng, shape, grad_layout)
+        got = relu_backward(grad, x)
+        assert_same_bits(got, relu_backward_oracle(grad, x))
+        assert (grad[x <= 0.0] < 0.0).any()  # the case where a plain multiply gives -0.0
+        assert not np.signbit(got[x <= 0.0]).any()
+
+    def test_batchnorm_peak_is_two_float64_copies_and_the_result(self):
+        rng = np.random.default_rng(17)
+        c = BLOCK0_SHAPE[1]
+        x = batch_innermost(rng.standard_normal(BLOCK0_SHAPE).astype(np.float32))
+        grad = batch_innermost(rng.standard_normal(BLOCK0_SHAPE).astype(np.float32))
+        scale, shift = Tensor(np.ones(c, np.float32)), Tensor(np.zeros(c, np.float32))
+        budget = x.size * (8 + 8 + 4) + 64 * 1024  # two float64 arrays, the float32 result, slack
+        before = x.copy()
+        assert traced_peak(lambda: batchnorm(x, scale, shift, RunningStats.init(c))) <= budget
+        assert np.array_equal(x, before)
+        _, cache = batchnorm(x, scale, shift, RunningStats.init(c))
+        assert traced_peak(lambda: batchnorm_backward(grad, cache)) <= budget
 
 
 class TestLossAndMisc:
