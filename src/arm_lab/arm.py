@@ -3,8 +3,9 @@
 The head rearranges backbone channels into space, applies one shared
 single-channel weighting convolution without padding, normalizes, averages
 the surviving channels, and subtracts a running estimate of the generic
-(class-independent) feature before classification. The subtraction state is
-a buffer, not a parameter; only its smoothing coefficient can learn.
+(class-independent) feature before classification. That estimate is a buffer,
+not a parameter; one rule, in affinity_forward, blends each training batch
+into it, and only its smoothing coefficient can learn.
 """
 
 from __future__ import annotations
@@ -220,34 +221,15 @@ class AffinityCache:
     batch_mean: np.ndarray  # float64
 
 
-def affinity_update(state: GenericFeatureState, batch_mean: np.ndarray) -> None:
-    """Fold one batch mean into the buffer: new = lam*batch + (1-lam)*old.
-
-    The first call initializes the buffer to the batch mean outright. Updates
-    run in 64-bit and are rounded to storage precision afterwards.
-    """
-    bm = np.asarray(batch_mean, dtype=np.float64)
-    if state.feature is None:
-        state.feature = bm.astype(np.float32)
-        return
-    if bm.shape != state.feature.shape:
-        raise DataError(
-            f"batch mean shape {bm.shape} does not match buffer {state.feature.shape}"
-        )
-    lam = state.clamped_smoothing()
-    mixed = lam * bm + (1.0 - lam) * state.feature.astype(np.float64)
-    state.feature = mixed.astype(np.float32)
-
-
 def affinity_forward(
     state: GenericFeatureState, features: np.ndarray, mode: str = "train"
 ) -> tuple[np.ndarray, AffinityCache | None]:
     """Subtract the generic-feature estimate from each sample's feature map.
 
-    Train mode subtracts the blend of the batch mean (which carries gradient)
-    and the buffer, folds the batch mean into the buffer, and returns the
-    backward cache. Eval subtracts the buffer, leaves it alone and returns no
-    cache; evaluating before any training batch has initialized it is an error.
+    Train mode subtracts lam*(batch mean) + (1-lam)*buffer, in 64-bit, keeps
+    its float32 rounding as the buffer (the first batch's buffer is its own
+    float32 mean) and returns the backward cache. Eval subtracts the buffer,
+    returns no cache, and is an error before any training batch.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -263,12 +245,10 @@ def affinity_forward(
         return (features.astype(np.float64) - buffer[None]).astype(np.float32), None
 
     bm = features.mean(axis=0, dtype=np.float64)
-    # the estimate before this batch; the first batch initializes it to its own mean
-    before = bm.astype(np.float32) if state.feature is None else state.feature
-    buffer = before.astype(np.float64)
-    affinity_update(state, bm)
+    buffer = (bm.astype(np.float32) if state.feature is None else state.feature).astype(np.float64)
     lam = state.clamped_smoothing()
     mixed = lam * bm + (1.0 - lam) * buffer
+    state.feature = mixed.astype(np.float32)
     out = (features.astype(np.float64) - mixed[None]).astype(np.float32)
     return out, AffinityCache(lam=lam, buffer=buffer, batch_mean=bm)
 
@@ -381,6 +361,7 @@ class TinyBackbone(Module):
     def __init__(self, rng, input_extent: int, widths):
         sizes = [1] + [int(w) for w in widths]
         self.blocks = [ConvBlock(rng, c_in, c_out) for c_in, c_out in zip(sizes, sizes[1:])]
+        self.in_extent = input_extent
         self.out_channels = sizes[-1]
         self.out_extent = backbone_extent(input_extent, len(self.blocks))
 
@@ -516,6 +497,9 @@ class Network(Module):
     def forward(self, images, mode: str = "train"):
         """Train updates the running state and returns the backward cache; eval returns None."""
         x = np.ascontiguousarray(images, np.float32)
+        e = self.backbone.in_extent
+        if x.shape[1:] != (1, e, e):
+            raise DataError(f"batch shape {x.shape} does not fit this network's (N, 1, {e}, {e})")
         features, bb_caches = self.backbone.forward(x, mode)
         logits, head_cache = self.head.forward(features, mode)
         if mode != "train":

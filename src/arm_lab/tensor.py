@@ -1,7 +1,8 @@
 """Parameters and the array primitives used by the ARM network.
 
 Activations and gradients flow between layers as float32 NCHW arrays; only
-learnable parameters are `Tensor`s. Every reduction (convolution sums,
+learnable parameters are `Tensor`s, each with a gradient of its own shape
+that is all zeros from construction. Every reduction (convolution sums,
 normalization statistics, losses) accumulates in 64-bit before the result
 is rounded back to storage precision. Every convolution is one dense GEMM
 over a tap-major im2col matrix filled from a zero-padded (C, H+2p, W+2p, B)
@@ -32,7 +33,7 @@ TEN_VERSION = 1
 
 
 class Tensor:
-    """A parameter: float32 data of rank <= 4 plus its accumulated gradient."""
+    """A parameter: float32 data of rank <= 4 plus its accumulated gradient, zero at first."""
 
     __slots__ = ("data", "grad")
 
@@ -41,23 +42,20 @@ class Tensor:
         if arr.ndim > 4:
             raise GeometryError(f"rank {arr.ndim} exceeds the supported maximum of 4")
         self.data = arr
-        self.grad = None
+        self.grad = np.zeros_like(arr)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
+        self.grad.fill(0.0)
 
     def add_grad(self, delta) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
         self.grad += np.asarray(delta, dtype=np.float32).reshape(self.data.shape)
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, grad={'yes' if self.grad is not None else 'no'})"
+        return f"Tensor(shape={self.shape})"
 
 
 def save_tensor(path, data: np.ndarray) -> None:

@@ -83,19 +83,13 @@ class Adam:
 
     def step(self) -> None:
         for name, tensor in self.params:
-            grad = tensor.grad
-            if grad is None:
-                continue
-            if not np.all(np.isfinite(grad)):
+            if not np.all(np.isfinite(tensor.grad)):
                 raise TrainingDiverged(f"non-finite gradient in {name}")
         self.steps += 1
         correction1 = 1.0 - self.beta1**self.steps
         correction2 = 1.0 - self.beta2**self.steps
         for name, tensor in self.params:
-            grad = tensor.grad
-            if grad is None:
-                continue
-            g = grad.astype(np.float64)
+            g = tensor.grad.astype(np.float64)
             m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
             update = (m / correction1) / (np.sqrt(v / correction2) + self.eps)
@@ -111,6 +105,8 @@ def epoch_sample_ids(index: DatasetIndex, config: TrainConfig, epoch: int) -> np
 
 def evaluate(network: Network, index: DatasetIndex, batch_size: int = 256):
     """Eval-mode pass over an index; returns the confusion matrix and metrics."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     cm = ConfusionMatrix(classes=list(index.classes))
     for start in range(0, index.n_samples, batch_size):
         stop = min(start + batch_size, index.n_samples)

@@ -32,7 +32,7 @@ from oracles import (
 from arm_lab.arm import (
     ArmConfig,
     GenericFeatureState,
-    affinity_update,
+    affinity_forward,
     arm_param_count,
 )
 from arm_lab.arrange import ShuffleSpec, max_shuffle_ratio, pixel_shuffle, pixel_unshuffle
@@ -237,29 +237,29 @@ def test_criterion_5_cluster_weighting(capsys):
 def test_criterion_6_blending_coefficients(capsys):
     with criterion(capsys, 6, "generic-feature blending coefficients", 1.0):
         state = GenericFeatureState.create(0.3)
-        affinity_update(state, np.ones((3, 3)))
+        affinity_forward(state, np.ones((3, 3))[None], "train")
         previous = state.feature
         for _ in range(8):
-            affinity_update(state, np.zeros((3, 3)))
+            affinity_forward(state, np.zeros((3, 3))[None], "train")
             ratio = state.feature / previous
             assert np.abs(ratio - 0.7).max() <= 1e-6
             previous = state.feature
 
         frozen = GenericFeatureState.create(0.0)
         first = np.random.default_rng(0).standard_normal((4, 4)).astype(np.float32)
-        affinity_update(frozen, first)
-        affinity_update(frozen, -first * 3.0)
+        affinity_forward(frozen, first[None], "train")
+        affinity_forward(frozen, (-first * 3.0)[None], "train")
         assert np.array_equal(frozen.feature, first)
 
         tracking = GenericFeatureState.create(1.0)
-        affinity_update(tracking, first)
-        affinity_update(tracking, first * 0.25)
+        affinity_forward(tracking, first[None], "train")
+        affinity_forward(tracking, (first * 0.25)[None], "train")
         assert np.array_equal(tracking.feature, first * np.float32(0.25))
 
         overrun = GenericFeatureState.create(0.3)
         overrun.smoothing.data[0] = 1.7  # out-of-range coefficient clamps to 1
-        affinity_update(overrun, first)
-        affinity_update(overrun, first * 0.5)
+        affinity_forward(overrun, first[None], "train")
+        affinity_forward(overrun, (first * 0.5)[None], "train")
         assert np.array_equal(overrun.feature, first * np.float32(0.5))
 
 

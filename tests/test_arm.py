@@ -19,7 +19,6 @@ from arm_lab.arm import (
     TinyBackbone,
     affinity_backward,
     affinity_forward,
-    affinity_update,
     arm_param_count,
     backbone_extent,
     build_network,
@@ -134,21 +133,21 @@ class TestShapeTrace:
 class TestAffinitySplit:
     def test_ema_blend_golden(self):
         state = GenericFeatureState.create(0.3)
-        affinity_update(state, np.full((2, 2), 1.0))  # first call initializes
-        affinity_update(state, np.full((2, 2), 2.0))
+        affinity_forward(state, np.full((2, 2), 1.0)[None], "train")  # first batch initializes
+        affinity_forward(state, np.full((2, 2), 2.0)[None], "train")
         assert np.allclose(state.feature, 1.3, atol=1e-7)
 
     def test_smoothing_zero_keeps_the_buffer_exactly(self):
         state = GenericFeatureState.create(0.0)
-        affinity_update(state, np.full((2, 2), 0.5))
+        affinity_forward(state, np.full((2, 2), 0.5)[None], "train")
         before = state.feature.copy()
-        affinity_update(state, np.full((2, 2), 123.0))
+        affinity_forward(state, np.full((2, 2), 123.0)[None], "train")
         assert np.array_equal(state.feature, before)
 
     def test_smoothing_one_tracks_the_batch_exactly(self):
         state = GenericFeatureState.create(1.0)
-        affinity_update(state, np.full((2, 2), 0.5))
-        affinity_update(state, np.full((2, 2), 0.25))
+        affinity_forward(state, np.full((2, 2), 0.5)[None], "train")
+        affinity_forward(state, np.full((2, 2), 0.25)[None], "train")
         assert np.all(state.feature == 0.25)
 
     def test_first_batch_subtracts_its_own_mean(self):
@@ -159,6 +158,18 @@ class TestAffinitySplit:
         expected = features - features.mean(axis=0, dtype=np.float64)[None].astype(np.float32)
         assert np.abs(out - expected).max() <= 1e-6
         assert state.feature is not None
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.3, float(np.nextafter(np.float32(1), 0)), 1.0])
+    def test_first_batch_buffer_is_its_float32_mean(self, smoothing):
+        rng = np.random.default_rng(3)
+        features = rng.standard_normal((5, 4, 4)).astype(np.float32)
+        # two adjacent float32 values: their mean is exactly the midpoint between them
+        features[:2, 0, 0] = [1.0, np.nextafter(np.float32(1), np.float32(2))]
+        for batch in (features, features[:2]):
+            state = GenericFeatureState.create(smoothing)
+            affinity_forward(state, batch, "train")
+            expected = batch.mean(axis=0, dtype=np.float64).astype(np.float32)
+            assert state.feature.tobytes() == expected.tobytes()
 
     def test_train_blends_batch_mean_with_buffer(self):
         state = GenericFeatureState.create(0.25)
@@ -229,6 +240,22 @@ class TestNetworks:
             assert name_a == name_b
             assert np.array_equal(ta.data, tb.data)
 
+    @pytest.mark.parametrize("kind", ["arm", "gap", "sweep"])
+    def test_fresh_parameters_hold_zero_gradients(self, kind):
+        desc = self.make_desc(kind, kernel=2) if kind == "sweep" else self.make_desc(kind)
+        for name, tensor in build_network(desc, seed=0).params():
+            assert isinstance(tensor.grad, np.ndarray), name
+            assert tensor.grad.dtype == np.float32 and tensor.grad.shape == tensor.shape, name
+            assert not tensor.grad.any(), name
+
+    @pytest.mark.parametrize("kind", ["arm", "gap"])
+    @pytest.mark.parametrize("shape", [(2, 1, 24, 24), (2, 1, 16, 24), (2, 2, 16, 16), (1, 16, 16)])
+    def test_batch_of_another_shape_is_data_error(self, kind, shape):
+        net = build_network(self.make_desc(kind), seed=0)
+        for mode in ("train", "eval"):
+            with pytest.raises(DataError, match=r"\(N, 1, 16, 16\)"):
+                net.forward(np.zeros(shape, np.float32), mode=mode)
+
     def test_head_backbone_shape_mismatch_rejected(self):
         desc = self.make_desc("arm")
         desc["arm"]["channels"] = 16
@@ -254,7 +281,6 @@ class TestNetworks:
         grad_x = net.backward(np.ones((4, 3), np.float32), cache)
         assert grad_x.shape == (4, 1, 16, 16)
         for name, tensor in net.params():
-            assert tensor.grad is not None, name
             assert np.abs(tensor.grad).sum() > 0, name
 
     def test_checkpoint_round_trip(self, tmp_path):

@@ -5,8 +5,9 @@ and reads each original from the owner's own __dict__, so a refactor that
 moves a traced method into a base class (or a function into another module)
 breaks `bench/run.py --trace 1`. It also names each backbone conv span by the
 identity of the kernel `Tensor` it is passed, so passing anything but the
-block's own parameter renames the span. The benchmark's own smoke test is
-not part of the tier-1 run; these checks are.
+block's own parameter renames the span. The tier-1 run collects both these
+checks and the benchmark's own smoke test, bench/test_smoke.py, which runs
+each workload end to end at toy sizes.
 """
 
 import importlib

@@ -337,6 +337,33 @@ class TestEvalCommand:
             assert f"dataset classes {read_manifest(data)['classes']}" in err
             assert "checkpoint classes ['class_0', 'class_1', 'class_2']" in err
 
+    @pytest.mark.parametrize("bad", [["--batch-size", "0"], ["--batch-size", "-4"]])
+    def test_out_of_range_option_is_config_error(self, trained, corpus, tmp_path, capsys, bad):
+        out = tmp_path / "out"
+        code = main(["eval", "--checkpoint", str(trained / "checkpoint"), "--data",
+                     str(corpus), "--out", str(out), *bad])
+        err = capsys.readouterr().err
+        assert code == 5, err
+        assert "batch_size must be >= 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("head", ["arm", "gap"])
+    def test_corpus_of_another_extent_is_data_error(self, corpus, tmp_path, capsys, head):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(corpus), "--out", str(run), *TRAIN_ARGS,
+                     "--head", head]) == 0
+        larger = tmp_path / "larger"  # the same classes, 24-pixel images
+        assert main(["synth", "--out", str(larger), "--classes", "3", "--per-class", "4",
+                     "--extent", "24", "--seed", "5"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = main(["eval", "--checkpoint", str(run / "checkpoint"), "--data", str(larger),
+                     "--out", str(out), "--split", "all"])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert "(12, 1, 24, 24)" in err and "(N, 1, 16, 16)" in err
+        assert not out.exists()
+
     def test_untrained_amendment_state_is_runtime_error(self, corpus, tmp_path, capsys):
         index = load_dataset(corpus)
         config = TrainConfig(backbone_widths=(4, 8))
