@@ -233,9 +233,9 @@ def cmd_train(args) -> int:
         backbone_widths=tuple(_parse_int_list(args.widths, "--widths")),
     )
     description = build_description(index, config, args.head)
-    out = _ensure_out(args.out)
     result = train(config, index, description=description,
-                   out_dir=os.path.join(out, "checkpoint"))
+                   out_dir=os.path.join(args.out, "checkpoint"))
+    out = _ensure_out(args.out)
     _write_history_csv(os.path.join(out, "metrics.csv"), result["history"])
     write_confusion_csv(os.path.join(out, "confusion.csv"), result["confusion"])
     _write_manifest(args, {}, result["outcome"])

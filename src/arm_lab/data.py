@@ -109,18 +109,10 @@ class ConfusionMatrix:
     """K x K counts; rows are true classes, columns are predictions."""
 
     classes: list[str]
-    counts: np.ndarray = None
+    counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        k = len(self.classes)
-        if self.counts is None:
-            self.counts = np.zeros((k, k), dtype=np.int64)
-        else:
-            self.counts = np.asarray(self.counts, dtype=np.int64)
-            if self.counts.shape != (k, k):
-                raise DataError(
-                    f"confusion counts shape {self.counts.shape} must be ({k}, {k})"
-                )
+        self.counts = np.zeros((len(self.classes), len(self.classes)), dtype=np.int64)
 
     def update(self, true_labels, predictions) -> None:
         true_labels = np.asarray(true_labels, dtype=np.int64)
@@ -216,6 +208,8 @@ def synth_dataset(
         raise DataError(f"need at least 2 classes, got {num_classes}")
     if extent < 1:
         raise DataError(f"extent must be >= 1, got {extent}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     if isinstance(per_class, (int, np.integer)):
         counts = [int(per_class)] * num_classes
     else:
@@ -341,16 +335,23 @@ def load_dataset(root) -> DatasetIndex:
 def split_index(
     index: DatasetIndex, val_fraction: float, seed
 ) -> tuple[DatasetIndex, DatasetIndex]:
-    """Per-class split into train and validation subsets."""
+    """Per-class train/validation split; a class of 2+ samples keeps one on each side."""
     if not 0.0 < val_fraction < 1.0:
         raise DataError(f"val_fraction must be in (0, 1), got {val_fraction}")
     rng = np.random.default_rng(seed)
     train_ids, val_ids = [], []
-    for ids in index.per_class:
+    for name, ids in zip(index.classes, index.per_class):
         shuffled = rng.permutation(ids)
         n_val = max(1, int(round(val_fraction * ids.size))) if ids.size > 1 else 0
+        if ids.size > 1 and n_val == ids.size:
+            raise DataError(
+                f"val_fraction {val_fraction} leaves class {name!r} "
+                f"({ids.size} samples) no training sample"
+            )
         val_ids.append(shuffled[:n_val])
         train_ids.append(shuffled[n_val:])
+    if not any(ids.size for ids in val_ids):
+        raise DataError("validation split is empty: no class has two or more samples")
     return (
         index.subset(np.sort(np.concatenate(train_ids))),
         index.subset(np.sort(np.concatenate(val_ids))),

@@ -3,9 +3,11 @@
 perception_map counts how many kernel windows cover each input pixel under a
 given geometry. albino_map tracks, layer by layer, what fraction of each
 activation's receptive mass originates from zero padding rather than real
-pixels; that fraction is this library's contamination metric, computed by
+pixels; that fraction is this library's contamination metric, defined by
 propagating an all-ones mass map through all-ones normalized kernels in which
-padding contributes zero mass.
+padding contributes zero mass. That map and every kernel are outer products
+of ones vectors, and padding and stride act on each axis alone, so each map
+here is exactly built from the outer product of two O(extent) axis profiles.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .arrange import ShuffleSpec
-from .errors import ConfigError, GeometryError, KernelTooLargeError, TrainingDiverged
+from .errors import ConfigError, GeometryError, TrainingDiverged
 from .tensor import ConvGeometry
 
 
@@ -54,22 +56,16 @@ def perception_map(height: int, width: int, k: int, s: int, p: int) -> Perceptio
     """
     if height < 1 or width < 1:
         raise GeometryError(f"extents must be >= 1, got {height}x{width}")
-    if k < 1 or s < 1 or p < 0:
-        raise GeometryError(f"invalid geometry k={k}, s={s}, p={p}")
     rows = coverage_counts_1d(height, k, s, p)
     cols = coverage_counts_1d(width, k, s, p)
     return PerceptionMap(counts=np.outer(rows, cols))
 
 
-def _propagate_clean_mass(mass: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
-    h, w = mass.shape
-    geom = ConvGeometry(k, s, p, 1, 1)
-    out_h = geom.out_extent(h, "height")
-    out_w = geom.out_extent(w, "width")
-    padded = np.pad(mass, p) if p else mass
-    win = np.lib.stride_tricks.sliding_window_view(padded, (k, k))
-    win = win[::s, ::s][:out_h, :out_w]
-    return win.sum(axis=(2, 3)) / float(k * k)
+def _window_mean_1d(mass: np.ndarray, k: int, s: int, p: int, axis: str) -> np.ndarray:
+    """The mean of each k-tap window at stride s along one zero-padded axis."""
+    out = ConvGeometry(k, s, p, 1, 1).out_extent(mass.size, axis)
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(mass, p), k)[::s][:out]
+    return windows.sum(axis=1) / float(k)
 
 
 def albino_maps_per_layer(
@@ -80,16 +76,15 @@ def albino_maps_per_layer(
         raise GeometryError(f"extents must be >= 1, got {height}x{width}")
     if not layers:
         raise GeometryError("at least one layer is required")
-    mass = np.ones((height, width), dtype=np.float64)
+    rows, cols = np.ones(height), np.ones(width)  # clean mass per axis
     maps = []
     for idx, (k, s, p) in enumerate(layers):
-        if k < 1 or s < 1 or p < 0:
-            raise GeometryError(f"invalid geometry k={k}, s={s}, p={p} at layer {idx}")
         try:
-            mass = _propagate_clean_mass(mass, k, s, p)
-        except KernelTooLargeError as exc:
-            raise KernelTooLargeError(f"layer {idx}: {exc}") from None
-        maps.append(AlbinoMap(contamination=1.0 - mass))
+            rows = _window_mean_1d(rows, k, s, p, "height")
+            cols = _window_mean_1d(cols, k, s, p, "width")
+        except GeometryError as exc:
+            raise type(exc)(f"layer {idx}: {exc}") from None
+        maps.append(AlbinoMap(contamination=1.0 - np.outer(rows, cols)))
     return maps
 
 
@@ -106,11 +101,10 @@ def cluster_weight_profile(spec: ShuffleSpec, da: ConvGeometry) -> np.ndarray:
     Sums the coverage counts of the weighting convolution inside each r x r
     cluster; the result has one cell per original spatial site.
     """
-    pm = perception_map(spec.out_height, spec.out_width, da.kernel, da.stride, da.padding)
     r = spec.ratio
-    return (
-        pm.counts.reshape(spec.in_height, r, spec.in_width, r).sum(axis=(1, 3)).astype(np.int64)
-    )
+    rows = coverage_counts_1d(spec.out_height, da.kernel, da.stride, da.padding)
+    cols = coverage_counts_1d(spec.out_width, da.kernel, da.stride, da.padding)
+    return np.outer(rows.reshape(-1, r).sum(axis=1), cols.reshape(-1, r).sum(axis=1))
 
 
 def outer_ring_interior_split(profile: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -47,6 +47,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.lr < np.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if not 0.0 < self.val_fraction < 1.0:

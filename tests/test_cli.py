@@ -188,6 +188,17 @@ class TestSynth:
         assert not out.exists()
 
 
+    def test_negative_seed_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        code = main(
+            ["synth", "--out", str(out), "--classes", "3", "--per-class", "2",
+             "--extent", "8", "--seed", "-1"]
+        )
+        assert code == 4
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrainCommand:
     def test_artifacts_and_manifest(self, trained, corpus):
         manifest = read_manifest(trained)
@@ -233,6 +244,7 @@ class TestTrainCommand:
         ["--val-fraction", "0"], ["--val-fraction", "1"], ["--val-fraction", "1.5"],
         ["--val-fraction", "-0.2"], ["--head", "gap", "--smoothing", "5"],
         ["--lr", "nan"], ["--lr", "inf"], ["--widths", "0,8"], ["--widths", "4,-8"],
+        ["--seed", "-1"],
     ])
     def test_out_of_range_option_is_config_error(self, corpus, tmp_path, capsys, bad):
         out = tmp_path / "out"
@@ -289,6 +301,24 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert code == 4, err
         assert "arm-lab: error" in err and rel[: -len(".pgm")] in err
+
+
+    @pytest.mark.parametrize("per_class, options, message", [
+        ("6,2,6", ["--sampler", "mrr"], "leaves class 'class_1' (2 samples) no training sample"),
+        ("6,2,6", ["--sampler", "plain", "--head", "gap"], "leaves class 'class_1'"),
+        ("1", ["--sampler", "mrr"], "validation split is empty"),
+    ])
+    def test_unusable_split_is_data_error_before_training(
+        self, tmp_path, capsys, per_class, options, message
+    ):
+        root, out = tmp_path / "corpus", tmp_path / "out"
+        assert main(["synth", "--out", str(root), "--classes", "3", "--per-class", per_class,
+                     "--extent", "8"]) == 0
+        code = main(["train", "--data", str(root), "--out", str(out), "--epochs", "1",
+                     "--val-fraction", "0.8", "--widths", "4", *options])
+        assert code == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvalCommand:
@@ -584,6 +614,14 @@ class TestSweepCommand:
                      "--k-min", "1", "--k-max", "2", *option])
         assert code == 5
         assert "--blocks and --out-channels must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_is_config_error(self, corpus, tmp_path, capsys):
+        out = tmp_path / "s"
+        code = main(["sweep-k", "--data", str(corpus), "--out", str(out),
+                     "--k-min", "1", "--k-max", "2", "--seed", "-1"])
+        assert code == 5
+        assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_diverged_kernels_are_failures(self, corpus, tmp_path):

@@ -104,20 +104,16 @@ class TestMrrSampler:
 
 class TestMetrics:
     def test_golden_small_matrix(self):
-        cm = ConfusionMatrix(
-            classes=["a", "b", "c"],
-            counts=np.array([[8, 1, 1], [2, 6, 2], [0, 0, 10]]),
-        )
+        cm = ConfusionMatrix(classes=["a", "b", "c"])
+        cm.counts = np.array([[8, 1, 1], [2, 6, 2], [0, 0, 10]])
         wa, ua, per_class = metrics(cm)
         assert wa == 24 / 30
         assert abs(ua - (0.8 + 0.6 + 1.0) / 3) <= 1e-12
         assert per_class.tolist() == [0.8, 0.6, 1.0]
 
     def test_zero_sample_classes_excluded_from_ua(self):
-        cm = ConfusionMatrix(
-            classes=["a", "b", "c"],
-            counts=np.array([[4, 0, 0], [0, 0, 0], [1, 0, 3]]),
-        )
+        cm = ConfusionMatrix(classes=["a", "b", "c"])
+        cm.counts = np.array([[4, 0, 0], [0, 0, 0], [1, 0, 3]])
         wa, ua, per_class = metrics(cm)
         assert wa == 7 / 8
         assert ua == (1.0 + 0.75) / 2
@@ -128,7 +124,8 @@ class TestMetrics:
         for _ in range(50):
             counts = rng.integers(0, 30, size=(4, 4))
             counts[rng.integers(0, 4)] += 1  # keep at least one non-empty row
-            cm = ConfusionMatrix(classes=list("abcd"), counts=counts)
+            cm = ConfusionMatrix(classes=list("abcd"))
+            cm.counts = counts
             wa, ua, _ = metrics(cm)
             owa, oua = accuracy_oracle(counts)
             assert abs(wa - owa) <= 1e-12
@@ -191,6 +188,11 @@ class TestSynthCorpus:
         assert np.array_equal(a.images, b.images)
         c = synth_dataset(tmp_path / "c", 3, 4, extent=16, seed=6)
         assert not np.array_equal(a.images, c.images)
+
+    def test_negative_seed_is_rejected_before_writing(self, tmp_path):
+        with pytest.raises(DataError, match="seed must be >= 0"):
+            synth_dataset(tmp_path / "neg", 3, 4, extent=16, seed=-1)
+        assert not (tmp_path / "neg").exists()
 
     def test_round_trip_and_normalization(self, tmp_path):
         idx = synth_dataset(tmp_path / "d", 2, 3, extent=16, seed=0)
@@ -284,3 +286,17 @@ class TestSplit:
         idx = synth_dataset(tmp_path, 2, 4, extent=8, seed=0)
         with pytest.raises(DataError):
             split_index(idx, 1.5, 0)
+
+    def test_every_class_keeps_a_training_sample(self):
+        train, val = split_index(label_only_index([6, 2, 6, 1]), 0.4, 3)
+        assert train.counts.tolist() == [4, 1, 4, 1]
+        assert val.counts.tolist() == [2, 1, 2, 0]
+
+    def test_class_left_without_training_samples_is_named(self):
+        # round(0.8 * 2) = 2 would send both of class_1's samples to validation
+        with pytest.raises(DataError, match=r"val_fraction 0\.8 leaves class 'class_1' \(2 samples\)"):
+            split_index(label_only_index([6, 2, 6]), 0.8, 0)
+
+    def test_empty_validation_side_is_rejected(self):
+        with pytest.raises(DataError, match="validation split is empty"):
+            split_index(label_only_index([1, 1, 1]), 0.5, 0)

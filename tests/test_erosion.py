@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arm_lab.arrange import ShuffleSpec
@@ -148,6 +148,54 @@ class TestAlbinoMap:
     def test_layer_error_names_the_layer(self):
         with pytest.raises(GeometryError, match="layer 1"):
             albino_maps_per_layer(8, 8, [(3, 2, 0), (9, 1, 0)])
+
+    @pytest.mark.parametrize(
+        "layer, message",
+        [((0, 1, 0), "kernel must be >= 1"), ((3, 0, 1), "stride must be >= 1"),
+         ((3, 1, -1), "padding must be >= 0")],
+    )
+    def test_invalid_layer_geometry_names_the_layer(self, layer, message):
+        with pytest.raises(GeometryError, match=f"layer 1: {message}"):
+            albino_maps_per_layer(8, 8, [(3, 1, 1), layer])
+
+    def test_paper_depth_matches_oracle(self):
+        # sixteen 3x3/1/1 layers, as in a VGG-16-style stack, on a non-square map
+        maps = albino_maps_per_layer(41, 38, [(3, 1, 1)] * 16)
+        for got, want in zip(maps, albino_oracle(41, 38, [(3, 1, 1)] * 16)):
+            assert np.abs(got.contamination - want).max() <= 1e-12
+
+    def test_deep_stack_stays_finite(self):
+        maps = albino_maps_per_layer(8, 8, [(3, 1, 1)] * 400)
+        for amap in maps:
+            assert np.isfinite(amap.contamination).all()
+            assert amap.contamination.min() >= 0.0
+            assert amap.contamination.max() <= 1.0
+        assert maps[-1].contamination.min() > 0.99
+
+    @given(
+        h=st.integers(3, 16),
+        w=st.integers(3, 16),
+        layers=st.lists(
+            st.tuples(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    # stride above the kernel, and padding as wide as the kernel
+    @example(h=7, w=11, layers=[(1, 3, 1), (2, 3, 2)])
+    @settings(max_examples=60, deadline=None)
+    def test_oracle_property(self, h, w, layers):
+        eh, ew = h, w
+        for k, s, p in layers:
+            if eh + 2 * p < k or ew + 2 * p < k:
+                return
+            eh, ew = (eh + 2 * p - k) // s + 1, (ew + 2 * p - k) // s + 1
+        maps = albino_maps_per_layer(h, w, layers)
+        want = albino_oracle(h, w, layers)
+        assert len(maps) == len(want)
+        for got, ref in zip(maps, want):
+            assert got.contamination.shape == ref.shape
+            assert np.abs(got.contamination - ref).max() <= 1e-12
 
 
 class TestClusterWeights:
