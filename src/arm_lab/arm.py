@@ -143,7 +143,8 @@ class Module:
     module's state is its parameters' data, then its buffers, then each
     child's state under the child's prefix. Layers' forward(x, mode) returns
     (output, backward cache); backward(grad_out, cache) accumulates parameter
-    gradients and returns the input gradient.
+    gradients and returns the input gradient, except that TinyBackbone and
+    Network, whose input is the images, return None.
     """
 
     PARAMS: tuple[tuple[str, str], ...] = ()
@@ -280,8 +281,10 @@ class Conv(Module):
     def forward(self, x: np.ndarray, mode: str):
         return conv2d_forward(x, self.kernel, self.geom), x
 
-    def backward(self, grad_out: np.ndarray, x) -> np.ndarray:
-        grad_x, grad_kernel = conv2d_backward(grad_out, x, self.kernel, self.geom)
+    def backward(self, grad_out: np.ndarray, x, input_grad: bool = True) -> np.ndarray | None:
+        grad_x, grad_kernel = conv2d_backward(
+            grad_out, x, self.kernel, self.geom, input_grad=input_grad
+        )
         self.kernel.add_grad(grad_kernel)
         return grad_x
 
@@ -349,10 +352,10 @@ class ConvBlock(Conv):
         activated = relu(bn_out, out=bn_out)
         return activated, (x, activated, bn_cache)
 
-    def backward(self, grad_out: np.ndarray, cache) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, cache, input_grad: bool = True) -> np.ndarray | None:
         x, activated, bn_cache = cache
         grad_conv = self.bn.backward(relu_backward(grad_out, activated), bn_cache)
-        return super().backward(grad_conv, x)
+        return super().backward(grad_conv, x, input_grad)
 
 
 class TinyBackbone(Module):
@@ -372,12 +375,12 @@ class TinyBackbone(Module):
             caches.append(cache)
         return x, caches
 
-    def backward(self, grad_out: np.ndarray, caches) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, caches) -> None:
+        """Accumulate every block's gradients; nothing reads the images' own, so it is skipped."""
         # lay the head's gradient out like the activations it meets, batch innermost
         grad_out = np.ascontiguousarray(grad_out.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
-        for block, cache in zip(reversed(self.blocks), reversed(caches)):
-            grad_out = block.backward(grad_out, cache)
-        return grad_out
+        for i in reversed(range(len(self.blocks))):
+            grad_out = self.blocks[i].backward(grad_out, caches[i], input_grad=i > 0)
 
     def children(self):
         return [(f"block{i}.", block) for i, block in enumerate(self.blocks)]
@@ -506,9 +509,8 @@ class Network(Module):
             return logits, None
         return logits, {"backbone": bb_caches, "head": head_cache}
 
-    def backward(self, grad_logits: np.ndarray, cache) -> np.ndarray:
-        grad = self.head.backward(grad_logits, cache["head"])
-        return self.backbone.backward(grad, cache["backbone"])
+    def backward(self, grad_logits: np.ndarray, cache) -> None:
+        self.backbone.backward(self.head.backward(grad_logits, cache["head"]), cache["backbone"])
 
     def zero_grads(self):
         for _, tensor in self.params():

@@ -2,20 +2,22 @@
 
 Activations and gradients flow between layers as float32 NCHW arrays; only
 learnable parameters are `Tensor`s, each with a gradient of its own shape
-that is all zeros from construction. Every reduction (convolution sums,
-normalization statistics, losses) accumulates in 64-bit before the result
-is rounded back to storage precision. Every convolution is one dense GEMM
-over a tap-major im2col matrix filled from a zero-padded (C, H+2p, W+2p, B)
-buffer, batch innermost; a shared single-channel kernel is the dense
-convolution with one input and one output channel over all B = N*C planes.
-Primitives take NCHW-shaped arrays of any strides. A convolution returns an
-NCHW-shaped view of a batch-innermost array, and batchnorm and relu keep
-their input's memory order, so backbone activations stay batch-innermost.
-Full-size scratch arrays are reused rather than allocated afresh at each
-step: batchnorm and batchnorm_backward each work in at most two float64
-arrays, ReLU can rectify a fresh array in place, and conv2d_backward writes
-the column gradient into the column buffer. Each reuse evaluates the same
-expressions in the same order, so every result is unchanged bit for bit.
+that is all zeros from construction. Forward reductions (convolution sums,
+normalization statistics, losses) and the BatchNorm and linear backwards
+accumulate in 64-bit before rounding back to storage precision;
+conv2d_backward runs in float32 throughout. Every convolution is one dense
+GEMM over a tap-major im2col matrix filled from a zero-padded
+(C, H+2p, W+2p, B) buffer, batch innermost; a shared single-channel kernel
+is the dense convolution with one input and one output channel over all
+B = N*C planes. Primitives take NCHW-shaped arrays of any strides. A
+convolution returns an NCHW-shaped view of a batch-innermost array, and
+batchnorm and relu keep their input's memory order, so backbone
+activations stay batch-innermost. Full-size scratch arrays are reused
+rather than allocated afresh at each step: batchnorm and batchnorm_backward
+each work in at most two float64 arrays, ReLU can rectify a fresh array in
+place, and conv2d_backward writes the column gradient into the column
+buffer. Each reuse evaluates the same expressions in the same order, so
+every result is unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -154,9 +156,9 @@ class ConvGeometry:
 def _conv_operands(x: np.ndarray, kernel: Tensor, geom: ConvGeometry):
     """Check the shapes; return the dense conv's planes, kernel matrix and output extents.
 
-    The planes are (B, C', H, W) and the kernel matrix float64 (O', C'*k*k):
-    (N, C, H, W) and (O, C*k*k) for a dense kernel, (N*C, 1, H, W) and
-    (1, k*k) for a shared single-channel one.
+    The planes are (B, C', H, W) and the kernel matrix a float32 view
+    (O', C'*k*k): (N, C, H, W) and (O, C*k*k) for a dense kernel,
+    (N*C, 1, H, W) and (1, k*k) for a shared single-channel one.
     """
     if x.ndim != 4:
         raise GeometryError(f"conv2d expects NCHW input, got rank {x.ndim}")
@@ -172,15 +174,15 @@ def _conv_operands(x: np.ndarray, kernel: Tensor, geom: ConvGeometry):
     out_h = geom.out_extent(h, "height")
     out_w = geom.out_extent(w, "width")
     planes = x.reshape(-1, 1 if geom.shared_single_channel else c, h, w)
-    kmat = kernel.data.reshape(-1, planes.shape[1] * geom.kernel**2).astype(np.float64)
+    kmat = kernel.data.reshape(-1, planes.shape[1] * geom.kernel**2)
     return planes, kmat, out_h, out_w
 
 
-def _im2col(planes: np.ndarray, geom: ConvGeometry, out_h: int, out_w: int) -> np.ndarray:
-    """Batch-innermost float64 (C*k*k, out_h*out_w*B) matrix of the padded input's windows.
+def _im2col(planes: np.ndarray, geom: ConvGeometry, out_h: int, out_w: int, dtype) -> np.ndarray:
+    """Batch-innermost (C*k*k, out_h*out_w*B) matrix of the padded input's windows.
 
     Row (c, ky, kx) holds tap (ky, kx) of channel c at every (i, j, b) output
-    position, so each tap is one strided copy (and float64 cast) of a
+    position, so each tap is one strided copy (and cast to dtype) of a
     zero-padded float32 buffer laid out (C, H + 2p, W + 2p, B), whose inner
     runs are contiguous rows of B values. planes may have any strides; the
     buffer is filled even when p = 0, since a shared kernel's (N*C, 1, H, W)
@@ -190,7 +192,7 @@ def _im2col(planes: np.ndarray, geom: ConvGeometry, out_h: int, out_w: int) -> n
     k, s, p = geom.kernel, geom.stride, geom.padding
     src = np.zeros((c, h + 2 * p, w + 2 * p, b), np.float32)
     src[:, p : p + h, p : p + w] = planes.transpose(1, 2, 3, 0)
-    cols = np.empty((c, k, k, out_h, out_w, b))
+    cols = np.empty((c, k, k, out_h, out_w, b), dtype)
     for ky in range(k):
         for kx in range(k):
             cols[:, ky, kx] = src[:, ky : ky + s * out_h : s, kx : kx + s * out_w : s]
@@ -200,26 +202,36 @@ def _im2col(planes: np.ndarray, geom: ConvGeometry, out_h: int, out_w: int) -> n
 def conv2d_forward(x: np.ndarray, kernel: Tensor, geom: ConvGeometry) -> np.ndarray:
     """Cross-correlate x with the kernel; padding logically extends x with zeros.
 
-    The result is an NCHW-shaped view of a batch-innermost (O, out_h, out_w, N)
-    array, so a following convolution's im2col copies contiguous batch rows.
+    The GEMM runs in float64 (in float32 it strayed 2.9e-6 from a float64
+    window-by-window sum). The result is an NCHW-shaped view of a
+    batch-innermost (O, out_h, out_w, N) array, so a following
+    convolution's im2col copies contiguous batch rows.
     """
     planes, kmat, out_h, out_w = _conv_operands(x, kernel, geom)
-    out = (kmat @ _im2col(planes, geom, out_h, out_w)).reshape(-1, out_h, out_w, planes.shape[0])
+    cols = _im2col(planes, geom, out_h, out_w, np.float64)
+    out = (kmat.astype(np.float64) @ cols).reshape(-1, out_h, out_w, planes.shape[0])
     return out.astype(np.float32).transpose(3, 0, 1, 2).reshape(x.shape[0], -1, out_h, out_w)
 
 
 def conv2d_backward(
-    grad_out: np.ndarray, x: np.ndarray, kernel: Tensor, geom: ConvGeometry
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of sum(grad_out * conv2d_forward(x)) w.r.t. x and the kernel.
+    grad_out: np.ndarray,
+    x: np.ndarray,
+    kernel: Tensor,
+    geom: ConvGeometry,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Gradients of sum(grad_out * conv2d_forward(x)) w.r.t. x and the kernel, in float32.
 
-    With go the output gradient as an (O, out_h*out_w*B) matrix, the kernel
-    gradient is go @ cols^T and the column gradient W^T @ go, written into
-    the cols buffer once the kernel gradient has been taken from it, so one
-    column-sized buffer serves both; col2im then adds each tap's plane back
-    onto a float64 (C, H + 2p, W + 2p, B) buffer, taps in (ky, kx) order.
-    grad_x is an NCHW-shaped view of that buffer's float32 interior,
-    batch-innermost like the forward output.
+    With go the output gradient as a float32 (O, out_h*out_w*B) matrix, the
+    kernel gradient is go @ cols^T. The column gradient W^T @ go is written
+    into the cols buffer once the kernel gradient has been taken from it, so
+    one column-sized buffer serves both; col2im then adds each tap's plane
+    back onto a float32 (C, H + 2p, W + 2p, B) buffer, taps in (ky, kx)
+    order. grad_x is an NCHW-shaped view of a copy of that buffer's
+    interior, batch-innermost like the forward output. With
+    input_grad=False only the kernel gradient is computed and grad_x is None.
+    At the reference shapes both gradients lie within 1e-6 of float64's,
+    relative to their largest magnitude.
     """
     planes, kmat, out_h, out_w = _conv_operands(x, kernel, geom)
     expected = (x.shape[0], geom.out_channels, out_h, out_w)
@@ -230,17 +242,20 @@ def conv2d_backward(
     b, ci, h, w = planes.shape
     k, s, p = geom.kernel, geom.stride, geom.padding
     go = grad_out.reshape(b, -1, out_h, out_w).transpose(1, 2, 3, 0)
-    go = go.astype(np.float64, order="C").reshape(kmat.shape[0], -1)
-    cols = _im2col(planes, geom, out_h, out_w)
+    go = np.ascontiguousarray(go, np.float32).reshape(kmat.shape[0], -1)
+    cols = _im2col(planes, geom, out_h, out_w, np.float32)
     grad_kernel = (go @ cols.T).reshape(kernel.shape)
+    if not input_grad:
+        return None, grad_kernel
     grad_cols = np.matmul(kmat.T, go, out=cols).reshape(ci, k, k, out_h, out_w, b)
-    grad_padded = np.zeros((ci, h + 2 * p, w + 2 * p, b))
+    grad_padded = np.zeros((ci, h + 2 * p, w + 2 * p, b), np.float32)
     for ky in range(k):
         for kx in range(k):
             tap = grad_padded[:, ky : ky + s * out_h : s, kx : kx + s * out_w : s]
             tap += grad_cols[:, ky, kx]
-    grad_x = grad_padded[:, p : p + h, p : p + w].astype(np.float32).transpose(3, 0, 1, 2)
-    return grad_x.reshape(x.shape), grad_kernel.astype(np.float32)
+    del cols, grad_cols  # free the column buffer before the interior copy
+    grad_x = grad_padded[:, p : p + h, p : p + w].copy().transpose(3, 0, 1, 2)
+    return grad_x.reshape(x.shape), grad_kernel
 
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -138,6 +138,44 @@ def conv_backward_oracle(
     return grad_x, grad_kernel
 
 
+def conv_backward_float64(
+    x: np.ndarray,
+    kernel: np.ndarray,
+    grad_out: np.ndarray,
+    stride: int,
+    padding: int,
+    shared: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """conv_backward_oracle's gradients in float64, one kernel tap at a time.
+
+    Fast enough for full-size batches: tap (ky, kx) reads the strided window
+    of the zero-padded input that it multiplied, and its input gradient is
+    added back onto that window.
+    """
+    _, _, h, w = x.shape
+    k = kernel.shape[-1]
+    _, _, out_h, out_w = grad_out.shape
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    padded = np.pad(np.asarray(x, dtype=np.float64), pad)
+    go = np.asarray(grad_out, dtype=np.float64)
+    kern = np.asarray(kernel, dtype=np.float64)
+    grad_padded = np.zeros_like(padded)
+    grad_kernel = np.zeros(kern.shape)
+    for ky in range(k):
+        for kx in range(k):
+            window = (
+                slice(None), slice(None),
+                slice(ky, ky + stride * out_h, stride), slice(kx, kx + stride * out_w, stride),
+            )
+            if shared:
+                grad_kernel[ky, kx] = np.sum(go * padded[window])
+                grad_padded[window] += go * kern[ky, kx]
+            else:
+                grad_kernel[:, :, ky, kx] = np.einsum("nohw,nchw->oc", go, padded[window])
+                grad_padded[window] += np.einsum("nohw,oc->nchw", go, kern[:, :, ky, kx])
+    return grad_padded[:, :, padding : padding + h, padding : padding + w], grad_kernel
+
+
 # The three expressions below are batchnorm, batchnorm_backward and
 # relu_backward as written before their scratch arrays were reused. They are
 # not loops: the primitives must equal them bit for bit, so they keep the

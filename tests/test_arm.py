@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arm_lab.arm as arm_module
 from arm_lab.arm import (
     ArmConfig,
     ArmHead,
@@ -278,8 +279,7 @@ class TestNetworks:
         logits, cache = net.forward(x, mode="train")
         assert logits.shape == (4, 3)
         net.zero_grads()
-        grad_x = net.backward(np.ones((4, 3), np.float32), cache)
-        assert grad_x.shape == (4, 1, 16, 16)
+        assert net.backward(np.ones((4, 3), np.float32), cache) is None  # no image gradient
         for name, tensor in net.params():
             assert np.abs(tensor.grad).sum() > 0, name
 
@@ -344,6 +344,28 @@ class TestConvBlock:
         grad_conv, _, _ = batchnorm_backward(masked, bn_cache)
         want_x, _ = conv2d_backward(grad_conv, x, block.kernel, block.geom)
         assert np.array_equal(block.backward(grad_out, cache), want_x)
+
+
+class TestBackboneBackward:
+    def test_block0_kernel_gradient_equals_the_full_backward(self, monkeypatch):
+        """Block 0 skips the image gradient; its kernel gradient is unchanged bit for bit."""
+        net = build_network(reference_description("arm"), seed=0)
+        rng = np.random.default_rng(29)
+        logits, cache = net.forward(rng.standard_normal((16, 1, 32, 32)).astype(np.float32))
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs, conv2d_backward(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(arm_module, "conv2d_backward", recording)
+        net.backward(rng.standard_normal(logits.shape).astype(np.float32), cache)
+        block0 = net.backbone.blocks[0]
+        [(args, kwargs, (skipped, _))] = [call for call in calls if call[0][2] is block0.kernel]
+        assert kwargs == {"input_grad": False} and skipped is None
+        grad_x, grad_kernel = conv2d_backward(*args)
+        assert grad_x.shape == (16, 1, 32, 32)
+        assert np.array_equal(block0.kernel.grad, grad_kernel)
 
 
 class TestBackboneGeometry:

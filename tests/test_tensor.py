@@ -31,6 +31,7 @@ from oracles import (
     batchnorm_backward_oracle,
     batchnorm_oracle,
     conv2d_forward_naive,
+    conv_backward_float64,
     conv_backward_oracle,
     conv_oracle,
     relu_backward_oracle,
@@ -242,6 +243,50 @@ class TestConv2d:
             conv2d_forward(np.zeros((1, 3, 5, 5)), Tensor(np.zeros((4, 4, 3, 3))), geom)
 
 
+# train-arm's convolutions at batch 256: (x shape, kernel, stride, padding, out channels, shared)
+REFERENCE_CONVS = {
+    "block0": ((256, 1, 32, 32), 3, 2, 1, 8, False),
+    "block1": ((256, 8, 16, 16), 3, 2, 1, 16, False),
+    "block2": ((256, 16, 8, 8), 3, 2, 1, 32, False),
+    "weighting": ((256, 2, 16, 16), 8, 2, 0, 2, True),
+}
+
+
+class TestFloat32Backward:
+    """conv2d_backward runs in float32; its gradients stay close to float64's."""
+
+    @pytest.mark.parametrize("case", CONV_CASES, ids=lambda case: "-".join(map(str, case)))
+    def test_float64_reference_matches_loop_oracle(self, case):
+        n, c, h, w, k, s, p, oc, shared = case
+        rng = np.random.default_rng([n, c, h, w, k, s, p, 2])
+        geom = ConvGeometry(k, s, p, c, oc, shared_single_channel=shared)
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        kernel = rng.standard_normal(geom.kernel_shape()).astype(np.float32)
+        out_shape = (n, oc, geom.out_extent(h), geom.out_extent(w))
+        grad_out = rng.standard_normal(out_shape).astype(np.float32)
+        for got, want in zip(
+            conv_backward_float64(x, kernel, grad_out, s, p, shared),
+            conv_backward_oracle(x, kernel, grad_out, s, p, shared),
+        ):
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("name", REFERENCE_CONVS)
+    def test_reference_shapes_within_1e_5_of_float64(self, name):
+        shape, k, s, p, oc, shared = REFERENCE_CONVS[name]
+        rng = np.random.default_rng(list(shape) + [k])
+        geom = ConvGeometry(k, s, p, shape[1], oc, shared_single_channel=shared)
+        x = batch_innermost(rng.standard_normal(shape).astype(np.float32))
+        fan_in = math.prod(geom.kernel_shape()[-3:])
+        kernel = Tensor(kaiming_uniform(rng, geom.kernel_shape(), fan_in))
+        out_shape = (shape[0], oc, geom.out_extent(shape[2]), geom.out_extent(shape[3]))
+        grad_out = batch_innermost(rng.standard_normal(out_shape).astype(np.float32))
+        grad_x, grad_kernel = conv2d_backward(grad_out, x, kernel, geom)
+        want_x, want_kernel = conv_backward_float64(x, kernel.data, grad_out, s, p, shared)
+        assert grad_x.dtype == grad_kernel.dtype == np.float32
+        for got, want in ((grad_x, want_x), (grad_kernel, want_kernel)):
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
 class TestBatchNorm:
     def test_train_uses_biased_batch_statistics(self):
         rng = np.random.default_rng(2)
@@ -399,6 +444,20 @@ class TestScratchReuse:
         assert np.array_equal(x, before)
         _, cache = batchnorm(x, scale, shift, RunningStats.init(c))
         assert traced_peak(lambda: batchnorm_backward(grad, cache)) <= budget
+
+    def test_conv_backward_peak_is_float32_columns_padding_and_go(self):
+        """Block 1's backward at train-arm's shapes allocates float32 scratch only."""
+        rng = np.random.default_rng(23)
+        n, c, h, w = BLOCK0_SHAPE
+        geom = ConvGeometry(3, 2, 1, c, 16)
+        x = batch_innermost(rng.standard_normal(BLOCK0_SHAPE).astype(np.float32))
+        kernel = Tensor(kaiming_uniform(rng, geom.kernel_shape(), c * 9))
+        grad_out = batch_innermost(rng.standard_normal((n, 16, 8, 8)).astype(np.float32))
+        cols = c * 9 * 8 * 8 * n * 4
+        padded = c * (h + 2) * (w + 2) * n * 4
+        # the float32 column buffer, padded buffer and go matrix, and slack
+        budget = cols + padded + grad_out.size * 4 + 64 * 1024
+        assert traced_peak(lambda: conv2d_backward(grad_out, x, kernel, geom)) <= budget
 
 
 class TestLossAndMisc:
