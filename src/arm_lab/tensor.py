@@ -5,19 +5,21 @@ learnable parameters are `Tensor`s, each with a gradient of its own shape
 that is all zeros from construction. Forward reductions (convolution sums,
 normalization statistics, losses) and the BatchNorm and linear backwards
 accumulate in 64-bit before rounding back to storage precision;
-conv2d_backward runs in float32 throughout. Every convolution is one dense
+conv2d_backward runs in float32 throughout. Every convolution is a dense
 GEMM over a tap-major im2col matrix filled from a zero-padded
 (C, H+2p, W+2p, B) buffer, batch innermost; a shared single-channel kernel
 is the dense convolution with one input and one output channel over all
 B = N*C planes. Primitives take NCHW-shaped arrays of any strides. A
 convolution returns an NCHW-shaped view of a batch-innermost array, and
 batchnorm and relu keep their input's memory order, so backbone
-activations stay batch-innermost. Full-size scratch arrays are reused
-rather than allocated afresh at each step: batchnorm and batchnorm_backward
-each work in at most two float64 arrays, ReLU can rectify a fresh array in
-place, and conv2d_backward writes the column gradient into the column
-buffer. Each reuse evaluates the same expressions in the same order, so
-every result is unchanged bit for bit.
+activations stay batch-innermost. The float64 scratch of a step is
+bounded: conv2d_forward builds and multiplies its im2col columns a chunk
+of output rows at a time, and batchnorm (in both modes) and
+batchnorm_backward work one group of whole channels at a time, in slabs
+of about SLAB_VALUES values each. ReLU can rectify a fresh array in place,
+and conv2d_backward writes the column gradient into its column buffer.
+Each of these evaluates the same expressions in the same order, so every
+result is unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ from .errors import GeometryError, KernelTooLargeError, DataError
 
 TEN_MAGIC = b"ARMT"
 TEN_VERSION = 1
+# float64 values in one working slab: a BatchNorm channel group's,
+# or one forward im2col chunk's columns and product
+SLAB_VALUES = 1 << 16
+# a forward chunk whose column count is a multiple of this gets every value
+# bit for bit as the whole-matrix float64 GEMM would: BLAS computes columns in
+# tiles of up to 8, and other chunk widths moved a last bit in about 1 in 3 trials
+GEMM_COLUMN_TILE = 8
 
 
 class Tensor:
@@ -178,39 +187,75 @@ def _conv_operands(x: np.ndarray, kernel: Tensor, geom: ConvGeometry):
     return planes, kmat, out_h, out_w
 
 
-def _im2col(planes: np.ndarray, geom: ConvGeometry, out_h: int, out_w: int, dtype) -> np.ndarray:
-    """Batch-innermost (C*k*k, out_h*out_w*B) matrix of the padded input's windows.
+def _padded(planes: np.ndarray, padding: int) -> np.ndarray:
+    """A zero-padded float32 copy of planes laid out (C, H + 2p, W + 2p, B).
 
-    Row (c, ky, kx) holds tap (ky, kx) of channel c at every (i, j, b) output
-    position, so each tap is one strided copy (and cast to dtype) of a
-    zero-padded float32 buffer laid out (C, H + 2p, W + 2p, B), whose inner
-    runs are contiguous rows of B values. planes may have any strides; the
-    buffer is filled even when p = 0, since a shared kernel's (N*C, 1, H, W)
-    planes would otherwise be read H*W values apart.
+    Its inner runs are contiguous rows of B values. planes may have any
+    strides; the copy is made even when p = 0, since a shared kernel's
+    (N*C, 1, H, W) planes would otherwise be read H*W values apart.
     """
     b, c, h, w = planes.shape
-    k, s, p = geom.kernel, geom.stride, geom.padding
-    src = np.zeros((c, h + 2 * p, w + 2 * p, b), np.float32)
-    src[:, p : p + h, p : p + w] = planes.transpose(1, 2, 3, 0)
-    cols = np.empty((c, k, k, out_h, out_w, b), dtype)
+    src = np.zeros((c, h + 2 * padding, w + 2 * padding, b), np.float32)
+    src[:, padding : padding + h, padding : padding + w] = planes.transpose(1, 2, 3, 0)
+    return src
+
+
+def _im2col(src: np.ndarray, geom: ConvGeometry, first_row: int, cols: np.ndarray) -> np.ndarray:
+    """Fill cols, shaped (C, k, k, rows, out_w, B), with the windows of output
+    rows first_row onward read from a _padded buffer; return it as a
+    batch-innermost (C*k*k, rows*out_w*B) matrix.
+
+    Row (c, ky, kx) holds tap (ky, kx) of channel c at every (i, j, b) output
+    position, so each tap is one strided copy (and cast to cols' dtype) of src.
+    """
+    c, k, _, rows, out_w, b = cols.shape
+    s = geom.stride
+    top = s * first_row
     for ky in range(k):
         for kx in range(k):
-            cols[:, ky, kx] = src[:, ky : ky + s * out_h : s, kx : kx + s * out_w : s]
-    return cols.reshape(c * k * k, out_h * out_w * b)
+            rows_read = slice(top + ky, top + ky + s * rows, s)
+            cols[:, ky, kx] = src[:, rows_read, kx : kx + s * out_w : s]
+    return cols.reshape(c * k * k, rows * out_w * b)
 
 
 def conv2d_forward(x: np.ndarray, kernel: Tensor, geom: ConvGeometry) -> np.ndarray:
     """Cross-correlate x with the kernel; padding logically extends x with zeros.
 
     The GEMM runs in float64 (in float32 it strayed 2.9e-6 from a float64
-    window-by-window sum). The result is an NCHW-shaped view of a
-    batch-innermost (O, out_h, out_w, N) array, so a following
-    convolution's im2col copies contiguous batch rows.
+    window-by-window sum). Its columns are built and multiplied a chunk of
+    output rows at a time, so at once the call holds the float32 padded
+    input, the float32 result and one chunk's float64 columns and product.
+    A chunk holds at least SLAB_VALUES values, so a small call makes one
+    chunk, and at most about two slabs or one output row's worth, whichever
+    is more. Each output value is the same dot
+    product over the same taps as in one whole-matrix GEMM, and it is bit
+    for bit the same as long as every chunk covers whole BLAS column tiles;
+    when an output row's out_w*B columns are not a multiple of
+    GEMM_COLUMN_TILE, the call makes one chunk of all rows.
+    The result is an NCHW-shaped view of a batch-innermost (O, out_h, out_w,
+    N) array, so a following convolution's im2col copies contiguous batch
+    rows.
     """
     planes, kmat, out_h, out_w = _conv_operands(x, kernel, geom)
-    cols = _im2col(planes, geom, out_h, out_w, np.float64)
-    out = (kmat.astype(np.float64) @ cols).reshape(-1, out_h, out_w, planes.shape[0])
-    return out.astype(np.float32).transpose(3, 0, 1, 2).reshape(x.shape[0], -1, out_h, out_w)
+    b, c = planes.shape[:2]
+    k = geom.kernel
+    o, taps = kmat.shape
+    kmat = kmat.astype(np.float64)
+    src = _padded(planes, geom.padding)
+    row = out_w * b  # GEMM columns per output row
+    rows = out_h
+    if row % GEMM_COLUMN_TILE == 0:  # as many chunks as whole slabs fit, at most one per row
+        chunks = min(out_h, max(1, (taps + o) * out_h * row // SLAB_VALUES))
+        rows = -(-out_h // chunks)
+    slab = np.empty((taps + o) * rows * row)  # a chunk's columns, then its product
+    out = np.empty((o, out_h, out_w, b), np.float32)
+    for top in range(0, out_h, rows):
+        n = min(rows, out_h - top)
+        split = taps * n * row
+        cols = _im2col(src, geom, top, slab[:split].reshape(c, k, k, n, out_w, b))
+        product = np.matmul(kmat, cols, out=slab[split : split + o * n * row].reshape(o, -1))
+        out[:, top : top + n] = product.reshape(o, n, out_w, b)
+    return out.transpose(3, 0, 1, 2).reshape(x.shape[0], -1, out_h, out_w)
 
 
 def conv2d_backward(
@@ -243,7 +288,8 @@ def conv2d_backward(
     k, s, p = geom.kernel, geom.stride, geom.padding
     go = grad_out.reshape(b, -1, out_h, out_w).transpose(1, 2, 3, 0)
     go = np.ascontiguousarray(go, np.float32).reshape(kmat.shape[0], -1)
-    cols = _im2col(planes, geom, out_h, out_w, np.float32)
+    cols = np.empty((ci, k, k, out_h, out_w, b), np.float32)
+    cols = _im2col(_padded(planes, p), geom, 0, cols)
     grad_kernel = (go @ cols.T).reshape(kernel.shape)
     if not input_grad:
         return None, grad_kernel
@@ -291,9 +337,28 @@ class RunningStats:
 
 @dataclass
 class BatchNormCache:
-    xhat: np.ndarray
+    """What train-mode batchnorm leaves for its backward: the float32 input,
+    by reference, and the float64 per-channel mean, inverse std and scale.
+    The backward recomputes xhat from them, so x must not be written between."""
+
+    x: np.ndarray
+    mean: np.ndarray
     inv_std: np.ndarray
     scale: np.ndarray
+
+
+def _channel_groups(channels: int, per_channel: int, *arrays: np.ndarray) -> list[slice]:
+    """Slices of whole channels, each about SLAB_VALUES float64 values of work.
+
+    The work is split only when every array is batch-innermost, so that each
+    channel is one contiguous run: a group's reductions then run over the
+    same runs, in the same order, as the whole array's. In any other layout
+    numpy may order a slab's sums differently, so all channels form one group.
+    """
+    step = channels
+    if all(a.transpose(1, 2, 3, 0).flags.c_contiguous for a in arrays):
+        step = max(1, SLAB_VALUES // per_channel)
+    return [slice(start, start + step) for start in range(0, channels, step)]
 
 
 def batchnorm(
@@ -309,12 +374,14 @@ def batchnorm(
     into the running estimates and returns the backward cache; eval mode uses
     the running estimates, leaves them alone and returns no cache.
 
-    x is never written. Its one float64 copy is centred and then scaled in
-    place into xhat, which the cache keeps. In train mode a second float64
-    array holds the squares for the variance and is then overwritten with
-    the output; eval mode caches nothing, so xhat itself becomes the output.
-    The values and their summation order are those of np.var and
-    (x - mean) * inv_std * scale + shift.
+    x is never written. Both modes work one channel group at a time
+    (_channel_groups): a group's float64 copy of x is centred, scaled into
+    xhat and mapped to its output in place, then written into the float32
+    result; train mode also squares the centred slab once for the variance.
+    So at once it holds the result and at most two slabs of about
+    SLAB_VALUES values each, and the cache keeps x itself and three
+    per-channel vectors rather than xhat. The values and their summation
+    order are those of np.var and (x - mean) * inv_std * scale + shift.
     """
     if x.ndim != 4:
         raise GeometryError(f"batchnorm expects NCHW input, got rank {x.ndim}")
@@ -325,25 +392,33 @@ def batchnorm(
         )
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    data = x.astype(np.float64)
-    if mode == "train":
-        mean = data.mean(axis=(0, 2, 3))
-        data -= mean[None, :, None, None]
-        out = np.square(data)
-        var = out.sum(axis=(0, 2, 3)) / (data.size // c)
-        running.mean = ((1.0 - BN_MOMENTUM) * running.mean + BN_MOMENTUM * mean).astype(np.float32)
-        running.var = ((1.0 - BN_MOMENTUM) * running.var + BN_MOMENTUM * var).astype(np.float32)
-    else:
-        data -= running.mean.astype(np.float64)[None, :, None, None]
-        var = running.var.astype(np.float64)
-        out = data
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    data *= inv_std[None, :, None, None]
     scale64 = scale.data.astype(np.float64)
-    np.multiply(data, scale64[None, :, None, None], out=out)
-    out += shift.data.astype(np.float64)[None, :, None, None]
-    cache = BatchNormCache(data, inv_std, scale64) if mode == "train" else None
-    return out.astype(np.float32), cache
+    shift64 = shift.data.astype(np.float64)
+    count = x.size // c
+    if mode == "train":
+        mean, var, inv_std = np.empty(c), np.empty(c), np.empty(c)
+    else:
+        mean, var = running.mean.astype(np.float64), running.var.astype(np.float64)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    out = np.empty_like(x, np.float32)
+    for g in _channel_groups(c, count, x):
+        data = x[:, g].astype(np.float64)
+        if mode == "train":
+            mean[g] = data.mean(axis=(0, 2, 3))
+        data -= mean[None, g, None, None]
+        if mode == "train":
+            var[g] = np.square(data).sum(axis=(0, 2, 3)) / count
+            inv_std[g] = 1.0 / np.sqrt(var[g] + BN_EPS)
+        data *= inv_std[None, g, None, None]  # xhat
+        data *= scale64[None, g, None, None]
+        data += shift64[None, g, None, None]
+        out[:, g] = data
+        del data  # free this group's slab before the next group's is made
+    if mode == "eval":
+        return out, None
+    running.mean = ((1.0 - BN_MOMENTUM) * running.mean + BN_MOMENTUM * mean).astype(np.float32)
+    running.var = ((1.0 - BN_MOMENTUM) * running.var + BN_MOMENTUM * var).astype(np.float32)
+    return out, BatchNormCache(x, mean, inv_std, scale64)
 
 
 def batchnorm_backward(
@@ -352,25 +427,37 @@ def batchnorm_backward(
     """Gradients of batchnorm w.r.t. x, scale and shift, from a train-mode cache.
 
     grad_x = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std with
-    dxhat = grad_out * scale, evaluated left to right in two float64 arrays:
-    go becomes dxhat and then the difference, and tmp holds each product
-    with xhat in the memory order a fresh product would have.
+    dxhat = grad_out * scale, evaluated left to right one channel group at a
+    time (_channel_groups over x and grad_out). Each group recomputes its
+    xhat from the cached x with the forward's own expressions, and works in
+    two more float64 slabs: go becomes dxhat and then the difference, and
+    tmp holds each product with xhat in the memory order a fresh product
+    would have. So at once it holds the float32 grad_x and three slabs.
     """
     axes = (0, 2, 3)
-    xhat = cache.xhat
-    go = grad_out.astype(np.float64)
-    tmp = np.multiply(go, xhat)
-    grad_scale = tmp.sum(axis=axes)
-    grad_shift = go.sum(axis=axes)
-    go *= cache.scale[None, :, None, None]  # dxhat
-    mean_dxhat = go.mean(axis=axes, keepdims=True)
-    np.multiply(go, xhat, out=tmp)
-    mean_dxhat_xhat = tmp.mean(axis=axes, keepdims=True)
-    go -= mean_dxhat
-    np.multiply(xhat, mean_dxhat_xhat, out=tmp)
-    go -= tmp
-    go *= cache.inv_std[None, :, None, None]
-    return go.astype(np.float32), grad_scale.astype(np.float32), grad_shift.astype(np.float32)
+    x = cache.x
+    c = x.shape[1]
+    grad_x = np.empty_like(grad_out, np.float32)
+    grad_scale, grad_shift = np.empty(c), np.empty(c)
+    for g in _channel_groups(c, x.size // c, x, grad_out):
+        xhat = x[:, g].astype(np.float64)
+        xhat -= cache.mean[None, g, None, None]
+        xhat *= cache.inv_std[None, g, None, None]
+        go = grad_out[:, g].astype(np.float64)
+        tmp = np.multiply(go, xhat)
+        grad_scale[g] = tmp.sum(axis=axes)
+        grad_shift[g] = go.sum(axis=axes)
+        go *= cache.scale[None, g, None, None]  # dxhat
+        mean_dxhat = go.mean(axis=axes, keepdims=True)
+        np.multiply(go, xhat, out=tmp)
+        mean_dxhat_xhat = tmp.mean(axis=axes, keepdims=True)
+        go -= mean_dxhat
+        np.multiply(xhat, mean_dxhat_xhat, out=tmp)
+        go -= tmp
+        go *= cache.inv_std[None, g, None, None]
+        grad_x[:, g] = go
+        del xhat, go, tmp  # free this group's slabs before the next group's are made
+    return grad_x, grad_scale.astype(np.float32), grad_shift.astype(np.float32)
 
 
 def linear(x: np.ndarray, weight: Tensor, bias: Tensor) -> np.ndarray:

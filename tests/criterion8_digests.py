@@ -1,4 +1,4 @@
-"""Run acceptance criterion 8's train() once; print its three digests and wall time.
+"""Run acceptance criterion 8's train() once; print its three digests, wall time and memory.
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/criterion8_digests.py
 
@@ -11,8 +11,11 @@ are SHA-256 hex strings:
 - history: json.dumps(history, sort_keys=True) as UTF-8;
 - confusion: the confusion counts' tobytes().
 
-The wall time covers the train() call alone, not building the corpus. The
-file name does not match test_*.py, so pytest does not collect it.
+The wall time and the minor page faults (ru_minflt) cover the train() call
+alone, not building the corpus; maxrss_mb is the whole process's peak
+resident set (ru_maxrss) after the call. So one command checks both the
+replay and the memory of a change. The file name does not match test_*.py,
+so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 import tempfile
 import time
 from pathlib import Path
@@ -58,14 +62,18 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "balanced"
         corpus = synth_dataset(root, num_classes=7, per_class=200, extent=32, seed=0)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         result = train(CONFIG, corpus)
         wall_s = time.perf_counter() - start
+        usage = resource.getrusage(resource.RUSAGE_SELF)
     for name, digest in digests(result).items():
         print(f"{name:9s} {digest}")
     best = max(entry["wa"] for entry in result["history"])
     print(f"best_wa   {best:.4f}")
     print(f"wall_s    {wall_s:.2f}")
+    print(f"maxrss_mb {usage.ru_maxrss / 1024:.1f}")  # Linux reports kilobytes
+    print(f"minflt    {usage.ru_minflt - faults}")
     print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
 
 

@@ -101,6 +101,35 @@ def conv2d_forward_naive(
     return out.astype(np.float32)
 
 
+def conv_forward_one_gemm(
+    x: np.ndarray, kernel: np.ndarray, stride: int, padding: int, shared: bool
+) -> np.ndarray:
+    """The forward as one float64 GEMM over the whole im2col matrix, rounded to float32.
+
+    The matrix has a row per (channel, ky, kx) tap and a column per (i, j, b)
+    output position, batch innermost, where a shared kernel's batch is every
+    (sample, channel) plane; the kernel is (out channels, taps). Any way of
+    building the same product in pieces must give these values bit for bit.
+    """
+    n, c, h, w = x.shape
+    k = kernel.shape[-1]
+    planes = np.asarray(x, dtype=np.float64).reshape(-1, 1 if shared else c, h, w)
+    b, ci = planes.shape[:2]
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    padded = np.pad(planes, pad)
+    out_h = (h + 2 * padding - k) // stride + 1
+    out_w = (w + 2 * padding - k) // stride + 1
+    cols = np.empty((ci, k, k, out_h, out_w, b))
+    for ky in range(k):
+        for kx in range(k):
+            window = padded[:, :, ky : ky + stride * out_h : stride, kx : kx + stride * out_w : stride]
+            cols[:, ky, kx] = window.transpose(1, 2, 3, 0)
+    kmat = np.asarray(kernel, dtype=np.float64).reshape(-1, ci * k * k)
+    out = kmat @ cols.reshape(ci * k * k, -1)
+    out = out.reshape(-1, out_h, out_w, b).transpose(3, 0, 1, 2).reshape(n, -1, out_h, out_w)
+    return out.astype(np.float32)
+
+
 def conv_backward_oracle(
     x: np.ndarray,
     kernel: np.ndarray,

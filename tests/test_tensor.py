@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from arm_lab.errors import DataError, GeometryError, KernelTooLargeError
 from arm_lab.tensor import (
+    GEMM_COLUMN_TILE,
+    SLAB_VALUES,
     ConvGeometry,
     RunningStats,
     Tensor,
@@ -33,6 +35,7 @@ from oracles import (
     conv2d_forward_naive,
     conv_backward_float64,
     conv_backward_oracle,
+    conv_forward_one_gemm,
     conv_oracle,
     relu_backward_oracle,
 )
@@ -287,6 +290,43 @@ class TestFloat32Backward:
             assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
+# (x shape, kernel, stride, padding, out channels, shared): the forward runs in
+# row chunks there; the dense case's rows leave a short last chunk
+CHUNKED_CONVS = {
+    "dense-short-last": ((16, 2, 29, 29), 3, 1, 1, 3, False),
+    "weighting": ((252, 2, 16, 16), 8, 2, 0, 2, True),  # train-arm's training step
+}
+
+
+class TestForwardChunks:
+    """conv2d_forward's row chunks give the values of one whole-matrix GEMM, bit for bit."""
+
+    @pytest.mark.parametrize("name", CHUNKED_CONVS)
+    def test_chunked_geometries_split(self, name):
+        (n, c, h, w), k, s, p, oc, shared = CHUNKED_CONVS[name]
+        geom = ConvGeometry(k, s, p, c, oc, shared_single_channel=shared)
+        out_h, out_w = geom.out_extent(h), geom.out_extent(w)
+        row = out_w * (n * c if shared else n)
+        taps = (1 if shared else c) * k * k
+        # as many chunks as whole slabs of columns and product fit, at most one per row
+        chunks = min(out_h, (taps + (1 if shared else oc)) * out_h * row // SLAB_VALUES)
+        rows = -(-out_h // chunks)
+        assert row % GEMM_COLUMN_TILE == 0 and chunks > 1
+        if name == "dense-short-last":
+            assert rows > 1 and out_h % rows != 0
+
+    @pytest.mark.parametrize("layout", ["nchw", "batch_innermost"])
+    @pytest.mark.parametrize("name", CHUNKED_CONVS)
+    def test_equals_one_gemm(self, name, layout):
+        shape, k, s, p, oc, shared = CHUNKED_CONVS[name]
+        rng = np.random.default_rng(list(shape) + [k, 3])
+        geom = ConvGeometry(k, s, p, shape[1], oc, shared_single_channel=shared)
+        x = rng.standard_normal(shape).astype(np.float32)
+        kernel = Tensor(kaiming_uniform(rng, geom.kernel_shape(), math.prod(geom.kernel_shape()[-3:])))
+        got = conv2d_forward(in_layout(x, layout), kernel, geom)
+        assert_same_bits(got, conv_forward_one_gemm(x, kernel.data, s, p, shared))
+
+
 class TestBatchNorm:
     def test_train_uses_biased_batch_statistics(self):
         rng = np.random.default_rng(2)
@@ -358,6 +398,7 @@ def traced_peak(fn) -> int:
 
 
 BLOCK0_SHAPE = (252, 8, 16, 16)  # block 0's BatchNorm input in the train-arm step
+GROUPS_SHAPE = (84, 8, 16, 16)  # batch-innermost, it splits into channel groups of 3, 3 and 2
 # (x layout, gradient layout); "head" is the ARM head's mix: a batch-innermost x
 # with the C-order NCHW gradient that channel_mean_backward returns
 SCRATCH_LAYOUTS = [
@@ -383,7 +424,14 @@ def gradient_in(rng, shape, layout: str) -> np.ndarray:
 class TestScratchReuse:
     """The in-place primitives equal the expressions they replaced, bit for bit."""
 
-    @pytest.mark.parametrize("shape", [(5, 3, 6, 4), BLOCK0_SHAPE], ids=["small", "block0"])
+    def test_groups_shape_makes_three_groups_with_a_short_last_one(self):
+        n, c, h, w = GROUPS_SHAPE
+        per_group = SLAB_VALUES // (n * h * w)
+        assert -(-c // per_group) >= 3 and c % per_group != 0
+
+    @pytest.mark.parametrize(
+        "shape", [(5, 3, 6, 4), BLOCK0_SHAPE, GROUPS_SHAPE], ids=["small", "block0", "groups"]
+    )
     @pytest.mark.parametrize(
         "x_layout,grad_layout",
         SCRATCH_LAYOUTS + [("nchw", "channel_constant"), ("batch_innermost", "channel_constant")],
@@ -410,8 +458,11 @@ class TestScratchReuse:
             if mode == "eval":
                 assert cache is None
                 continue
-            for got, want in zip((cache.xhat, cache.inv_std, cache.scale), want_cache):
-                assert_same_bits(got, want)
+            _, want_inv_std, want_scale = want_cache
+            assert cache.x is x
+            assert_same_bits(cache.mean, x.astype(np.float64).mean(axis=(0, 2, 3)))
+            assert_same_bits(cache.inv_std, want_inv_std)
+            assert_same_bits(cache.scale, want_scale)
             grad = gradient_in(rng, shape, grad_layout)
             got_grads = batchnorm_backward(grad, cache)
             want_grads = batchnorm_backward_oracle(grad, *want_cache)
@@ -458,6 +509,38 @@ class TestScratchReuse:
         # the float32 column buffer, padded buffer and go matrix, and slack
         budget = cols + padded + grad_out.size * 4 + 64 * 1024
         assert traced_peak(lambda: conv2d_backward(grad_out, x, kernel, geom)) <= budget
+
+    def test_batchnorm_train_step_peak_is_the_results_and_three_slabs(self):
+        """Train-mode batchnorm and its backward hold float64 slabs, never a full float64 copy."""
+        rng = np.random.default_rng(29)
+        n, c, h, w = BLOCK0_SHAPE
+        x = batch_innermost(rng.standard_normal(BLOCK0_SHAPE).astype(np.float32))
+        grad = batch_innermost(rng.standard_normal(BLOCK0_SHAPE).astype(np.float32))
+        scale, shift = Tensor(np.ones(c, np.float32)), Tensor(np.zeros(c, np.float32))
+
+        def step():
+            _, cache = batchnorm(x, scale, shift, RunningStats.init(c))
+            batchnorm_backward(grad, cache)
+
+        slab = max(SLAB_VALUES, n * h * w) * 8  # a group holds at least one whole channel
+        # the float32 output and input gradient, three float64 slabs, and slack
+        budget = 2 * x.size * 4 + 3 * slab + 64 * 1024
+        assert traced_peak(step) <= budget
+
+    def test_conv_forward_peak_is_padding_output_and_one_chunk(self):
+        """Block 1's forward at train-arm's shapes never holds its whole float64 im2col matrix."""
+        rng = np.random.default_rng(31)
+        n, c, h, w = BLOCK0_SHAPE
+        geom = ConvGeometry(3, 2, 1, c, 16)
+        x = batch_innermost(rng.standard_normal(BLOCK0_SHAPE).astype(np.float32))
+        kernel = Tensor(kaiming_uniform(rng, geom.kernel_shape(), c * 9))
+        padded = c * (h + 2) * (w + 2) * n * 4
+        out = 16 * 8 * 8 * n * 4
+        row = (c * 9 + 16) * 8 * n  # one output row's float64 columns and product
+        assert row > SLAB_VALUES  # so every chunk is one row
+        # the float32 padded buffer and output, one float64 chunk, and slack
+        budget = padded + out + row * 8 + 64 * 1024
+        assert traced_peak(lambda: conv2d_forward(x, kernel, geom)) <= budget
 
 
 class TestLossAndMisc:
