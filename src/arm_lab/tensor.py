@@ -20,11 +20,31 @@ of about SLAB_VALUES values each. ReLU can rectify a fresh array in place,
 and conv2d_backward writes the column gradient into its column buffer.
 Each of these evaluates the same expressions in the same order, so every
 result is unchanged bit for bit.
+
+Importing this module sets one heap policy for the whole process. Every
+primitive allocates and frees its arrays within its own call. By default
+glibc maps an allocation above its mmap threshold afresh and unmaps it
+when freed, and trims a free heap top above its trim threshold back to
+the kernel; both start at 128 KiB and rise only to the largest mapped
+chunk freed so far and twice that. Left so, each training step faults
+the same pages in again, about 5,000 minor faults per step at batch 256.
+So on glibc, import sets the mmap threshold to HEAP_MMAP_THRESHOLD and
+then the trim threshold to HEAP_TRIM_THRESHOLD, where glibc's own rule
+would settle once the process had freed a 32 MiB chunk. Freed pages stay
+mapped and the next call reuses them; no buffer is kept across calls,
+values do not change, and the peak resident set barely moves. The policy
+is left out when the C library is not glibc, or when the environment
+already sets either threshold through glibc's own interface
+(MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_, or
+glibc.malloc.mmap_threshold or glibc.malloc.trim_threshold in
+GLIBC_TUNABLES); setting any of them is the way to opt out.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -41,6 +61,38 @@ SLAB_VALUES = 1 << 16
 # bit for bit as the whole-matrix float64 GEMM would: BLAS computes columns in
 # tiles of up to 8, and other chunk widths moved a last bit in about 1 in 3 trials
 GEMM_COLUMN_TILE = 8
+# glibc malloc thresholds set at import (see the module docstring): glibc's own
+# cap for its dynamic mmap threshold on 64-bit, and twice that for trimming,
+# the ratio its dynamic rule keeps
+HEAP_MMAP_THRESHOLD = 32 << 20
+HEAP_TRIM_THRESHOLD = 2 * HEAP_MMAP_THRESHOLD
+
+
+def _keep_freed_pages() -> None:
+    """Set glibc's mmap and trim thresholds, unless the C library is not glibc
+    or the environment already sets either of them."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc's name
+        return
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    if (
+        not libc.startswith("glibc")
+        or "MALLOC_MMAP_THRESHOLD_" in os.environ
+        or "MALLOC_TRIM_THRESHOLD_" in os.environ
+        or "glibc.malloc.mmap_threshold" in tunables
+        or "glibc.malloc.trim_threshold" in tunables
+    ):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's <malloc.h>
+    if mallopt(m_mmap_threshold, HEAP_MMAP_THRESHOLD):  # 0 where it exceeds the cap
+        mallopt(m_trim_threshold, HEAP_TRIM_THRESHOLD)
+
+
+_keep_freed_pages()
 
 
 class Tensor:
@@ -270,12 +322,16 @@ def conv2d_backward(
     With go the output gradient as a float32 (O, out_h*out_w*B) matrix, the
     kernel gradient is go @ cols^T. The column gradient W^T @ go is written
     into the cols buffer once the kernel gradient has been taken from it, so
-    one column-sized buffer serves both; col2im then adds each tap's plane
-    back onto a float32 (C, H + 2p, W + 2p, B) buffer, taps in (ky, kx)
-    order. grad_x is an NCHW-shaped view of a copy of that buffer's
-    interior, batch-innermost like the forward output. With
-    input_grad=False only the kernel gradient is computed and grad_x is None.
-    At the reference shapes both gradients lie within 1e-6 of float64's,
+    one column-sized buffer serves both. With one output channel (a shared
+    kernel) W^T @ go is an outer product, which numpy's matmul does not send
+    to BLAS; the broadcast product W^T * go gives the same values about ten
+    times faster. Only the sign of a zero product can differ, and col2im
+    erases it: it adds each tap's plane back onto a float32
+    (C, H + 2p, W + 2p, B) buffer of +0.0, taps in (ky, kx) order, and a sum
+    that starts from +0.0 never reads -0.0. grad_x is an NCHW-shaped view of
+    a copy of that buffer's interior, batch-innermost like the forward
+    output. With input_grad=False only the kernel gradient is computed and
+    grad_x is None. At the reference shapes both gradients lie within 1e-6 of float64's,
     relative to their largest magnitude.
     """
     planes, kmat, out_h, out_w = _conv_operands(x, kernel, geom)
@@ -293,7 +349,11 @@ def conv2d_backward(
     grad_kernel = (go @ cols.T).reshape(kernel.shape)
     if not input_grad:
         return None, grad_kernel
-    grad_cols = np.matmul(kmat.T, go, out=cols).reshape(ci, k, k, out_h, out_w, b)
+    if kmat.shape[0] == 1:  # one output channel: an outer product
+        grad_cols = np.multiply(kmat.T, go, out=cols)
+    else:
+        grad_cols = np.matmul(kmat.T, go, out=cols)
+    grad_cols = grad_cols.reshape(ci, k, k, out_h, out_w, b)
     grad_padded = np.zeros((ci, h + 2 * p, w + 2 * p, b), np.float32)
     for ky in range(k):
         for kx in range(k):

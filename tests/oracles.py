@@ -205,6 +205,51 @@ def conv_backward_float64(
     return grad_padded[:, :, padding : padding + h, padding : padding + w], grad_kernel
 
 
+def conv_backward_matmul(
+    x: np.ndarray,
+    kernel: np.ndarray,
+    grad_out: np.ndarray,
+    stride: int,
+    padding: int,
+    shared: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 backward with the column gradient as one matmul, W^T @ go.
+
+    These are conv2d_backward's expressions before a shared kernel's column
+    gradient became a broadcast product: float32 im2col columns, a row per
+    (channel, ky, kx) tap and a column per (i, j, b) output position, batch
+    innermost; the kernel gradient go @ cols^T; the column gradient matmul'd
+    into the column buffer and added back tap by tap in (ky, kx) order. The
+    primitive must equal them bit for bit.
+    """
+    n, c, h, w = x.shape
+    k = kernel.shape[-1]
+    _, _, out_h, out_w = grad_out.shape
+    planes = np.asarray(x, np.float32).reshape(-1, 1 if shared else c, h, w)
+    b, ci = planes.shape[:2]
+    padded = np.zeros((ci, h + 2 * padding, w + 2 * padding, b), np.float32)
+    padded[:, padding : padding + h, padding : padding + w] = planes.transpose(1, 2, 3, 0)
+    windows = [
+        (slice(None), slice(ky, ky + stride * out_h, stride), slice(kx, kx + stride * out_w, stride))
+        for ky in range(k)
+        for kx in range(k)
+    ]
+    cols = np.empty((ci, k * k, out_h, out_w, b), np.float32)
+    for tap, window in enumerate(windows):
+        cols[:, tap] = padded[window]
+    cols = cols.reshape(ci * k * k, -1)
+    kmat = np.asarray(kernel, np.float32).reshape(-1, ci * k * k)
+    go = np.asarray(grad_out, np.float32).reshape(b, -1, out_h, out_w).transpose(1, 2, 3, 0)
+    go = np.ascontiguousarray(go).reshape(kmat.shape[0], -1)
+    grad_kernel = (go @ cols.T).reshape(kernel.shape)
+    grad_cols = np.matmul(kmat.T, go, out=cols).reshape(ci, k * k, out_h, out_w, b)
+    grad_padded = np.zeros_like(padded)
+    for tap, window in enumerate(windows):
+        grad_padded[window] += grad_cols[:, tap]
+    grad_x = grad_padded[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2)
+    return grad_x.reshape(x.shape), grad_kernel
+
+
 # The three expressions below are batchnorm, batchnorm_backward and
 # relu_backward as written before their scratch arrays were reused. They are
 # not loops: the primitives must equal them bit for bit, so they keep the

@@ -1,11 +1,18 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arm_lab
+from arm_lab.data import synth_dataset
 from arm_lab.errors import DataError, GeometryError, KernelTooLargeError
 from arm_lab.tensor import (
     GEMM_COLUMN_TILE,
@@ -34,6 +41,7 @@ from oracles import (
     batchnorm_oracle,
     conv2d_forward_naive,
     conv_backward_float64,
+    conv_backward_matmul,
     conv_backward_oracle,
     conv_forward_one_gemm,
     conv_oracle,
@@ -290,6 +298,35 @@ class TestFloat32Backward:
             assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
+# one-output-channel convolutions, whose column gradient is a broadcast product
+SHARED_KERNEL_CONVS = {
+    "weighting": REFERENCE_CONVS["weighting"],
+    "sweep": ((16, 16, 8, 8), 3, 1, 0, 16, True),  # SweepHead on sweep-small's 2-block backbone
+}
+
+
+class TestSharedKernelColumnGradient:
+    """A shared kernel's broadcast column gradient gives the matmul's gradients bit for bit."""
+
+    @pytest.mark.parametrize("name", SHARED_KERNEL_CONVS)
+    def test_equals_the_matmul(self, name):
+        shape, k, s, p, oc, shared = SHARED_KERNEL_CONVS[name]
+        rng = np.random.default_rng(list(shape) + [k, 5])
+        geom = ConvGeometry(k, s, p, shape[1], oc, shared_single_channel=shared)
+        x = batch_innermost(rng.standard_normal(shape).astype(np.float32))
+        kernel = Tensor(kaiming_uniform(rng, geom.kernel_shape(), k * k))
+        out_shape = (shape[0], oc, geom.out_extent(shape[2]), geom.out_extent(shape[3]))
+        grad_out = rng.standard_normal(out_shape).astype(np.float32)
+        # zero products, whose sign a matmul and a multiply set apart
+        kernel.data[0, 1] = 0.0
+        grad_out[0, :, 0, ::2] = -0.0
+        grad_out[1, :, 0, ::2] = 0.0
+        grad_out = batch_innermost(grad_out)
+        got = conv2d_backward(grad_out, x, kernel, geom)
+        for got_grad, want in zip(got, conv_backward_matmul(x, kernel.data, grad_out, s, p, shared)):
+            assert_same_bits(got_grad, want)
+
+
 # (x shape, kernel, stride, padding, out channels, shared): the forward runs in
 # row chunks there; the dense case's rows leave a short last chunk
 CHUNKED_CONVS = {
@@ -541,6 +578,55 @@ class TestScratchReuse:
         # the float32 padded buffer and output, one float64 chunk, and slack
         budget = padded + out + row * 8 + 64 * 1024
         assert traced_peak(lambda: conv2d_forward(x, kernel, geom)) <= budget
+
+
+# train-arm's corpus and training call (bench/workloads.py), in a fresh interpreter
+FAULT_CHILD = """
+import resource, sys
+from arm_lab.data import load_dataset
+from arm_lab.train import TrainConfig, train
+config = TrainConfig(
+    epochs=1, batch_size=256, lr=0.001, seed=1, sampler="mrr", backbone_widths=(8, 16, 32)
+)
+index = load_dataset(sys.argv[1])
+train(config, index)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(config, index)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+HEAP_VARIABLES = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+@pytest.fixture(scope="module")
+def train_arm_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("train-arm") / "corpus"
+    synth_dataset(str(root), 7, 45, extent=32, seed=1)
+    return str(root)
+
+
+def second_train_faults(corpus: str, **heap_env: str) -> int:
+    """Minor page faults of a second train() call at train-arm's config, after a warm-up."""
+    env = {key: value for key, value in os.environ.items() if key not in HEAP_VARIABLES}
+    package_parent = str(Path(arm_lab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
+    env.update(OPENBLAS_NUM_THREADS="1", **heap_env)
+    done = subprocess.run(
+        [sys.executable, "-c", FAULT_CHILD, corpus],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+class TestHeapPolicy:
+    """Importing the package keeps freed heap pages mapped, unless the environment says otherwise."""
+
+    def test_a_training_step_reuses_freed_pages(self, train_arm_corpus):
+        assert second_train_faults(train_arm_corpus) < 500
+
+    def test_an_environment_threshold_is_left_alone(self, train_arm_corpus):
+        assert second_train_faults(train_arm_corpus, MALLOC_MMAP_THRESHOLD_="131072") > 1000
 
 
 class TestLossAndMisc:
