@@ -25,6 +25,11 @@ from .errors import ConfigError, DataError, TrainingDiverged, UninitializedState
 from .tensor import softmax_cross_entropy
 
 SAMPLERS = ("plain", "mrr")
+# train() scores its validation split in batches of this size, whatever the
+# training batch: an eval forward couples no samples (BatchNorm uses running
+# statistics, the affinity step a stored buffer), so the batch size changes
+# only speed and memory, never a logit.
+VAL_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -162,6 +167,10 @@ def train(
     network, per-epoch history, final validation confusion matrix and
     split indexes. When out_dir is given, a checkpoint directory is
     written there with the outcome as its extra["result"].
+
+    The validation split is scored in VAL_BATCH batches whatever
+    config.batch_size is. An eval forward treats every sample alone, so
+    this cannot change a prediction, only the speed and memory of a pass.
     """
     if index.images is None:
         raise ConfigError("training needs a loaded index (images present)")
@@ -197,7 +206,7 @@ def train(
             network.load_state_dict(last_good)
             break
         # the run's result unless a later epoch completes: a rollback restores this state
-        confusion, final_wa, final_ua = evaluate(network, val_index, config.batch_size)
+        confusion, final_wa, final_ua = evaluate(network, val_index, VAL_BATCH)
         history.append(
             {
                 "epoch": epoch + 1,
@@ -210,7 +219,7 @@ def train(
 
     if not history:  # no epoch completed, so nothing has scored the initial state
         try:
-            confusion, final_wa, final_ua = evaluate(network, val_index, config.batch_size)
+            confusion, final_wa, final_ua = evaluate(network, val_index, VAL_BATCH)
         except UninitializedStateError:
             # diverged before the first epoch finished; there is nothing to score
             confusion = ConfusionMatrix(classes=list(index.classes))

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from arm_lab.data import DatasetIndex
 from arm_lab.errors import ConfigError, KernelTooLargeError, TrainingDiverged
 from arm_lab.tensor import Tensor, softmax_cross_entropy
 from arm_lab.train import (
+    VAL_BATCH,
     Adam,
     TrainConfig,
     build_description,
@@ -258,10 +260,13 @@ class TestEvaluationCount:
     @pytest.fixture
     def counted(self, monkeypatch):
         module = importlib.import_module("arm_lab.train")  # arm_lab.train is the function
-        calls = []
+        calls = []  # the batch size of each call
+        signature = inspect.signature(evaluate)
 
         def counting(*args, **kwargs):
-            calls.append(args)
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments["batch_size"])
             return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(module, "evaluate", counting)
@@ -302,6 +307,62 @@ class TestEvaluationCount:
         assert np.array_equal(result["confusion"].counts, confusion.counts)
         assert (result["wa"], result["ua"]) == (wa, ua)
         assert (wa, ua) == (result["history"][0]["wa"], result["history"][0]["ua"])
+
+    @pytest.mark.parametrize("batch_size", [8, 1024])
+    def test_validation_runs_at_val_batch(self, corpus_index, counted, batch_size):
+        _, calls = counted
+        train(small_config(epochs=2, batch_size=batch_size), corpus_index)
+        assert calls == [VAL_BATCH, VAL_BATCH]
+
+    def test_rolled_back_initial_state_is_scored_at_val_batch(self, counted):
+        _, calls = counted
+        index = memory_index((6, 6, 6))
+        index.images[index.labels == 0] = np.nan
+        config = small_config(epochs=2, batch_size=4)
+        result = train(config, index, description=build_description(index, config, "gap"))
+        assert result["epochs_run"] == 0
+        assert calls == [VAL_BATCH]
+
+
+class TestEvalBatchInvariance:
+    """An eval forward treats each sample alone, so its batch size changes no bit.
+
+    train() scores at VAL_BATCH, not at the training batch size, on this basis.
+    """
+
+    BATCH_SIZES = (1, 7, 16, 64, 256)
+
+    @pytest.fixture(scope="class", params=["arm", "gap", "sweep"])
+    def trained(self, request, corpus_index):
+        config = small_config(epochs=1)
+        settings = {"kernel": 2} if request.param == "sweep" else {}
+        description = build_description(corpus_index, config, request.param, **settings)
+        return train(config, corpus_index, description=description)["network"]
+
+    @staticmethod
+    def batched_logits(network, images, batch_size):
+        return np.concatenate(
+            [
+                network.forward(images[start : start + batch_size], mode="eval")[0]
+                for start in range(0, len(images), batch_size)
+            ]
+        )
+
+    def test_confusion_counts_do_not_depend_on_the_batch(self, corpus_index, trained):
+        scores = [evaluate(trained, corpus_index, size) for size in self.BATCH_SIZES]
+        first, wa, ua = scores[0]
+        assert first.counts.sum() == corpus_index.n_samples
+        for confusion, other_wa, other_ua in scores[1:]:
+            assert np.array_equal(confusion.counts, first.counts)
+            assert (other_wa, other_ua) == (wa, ua)
+
+    def test_logits_are_the_same_bits_at_every_batch(self, corpus_index, trained):
+        images = corpus_index.images
+        whole = self.batched_logits(trained, images, len(images))
+        for size in self.BATCH_SIZES:
+            logits = self.batched_logits(trained, images, size)
+            assert logits.shape == whole.shape and logits.dtype == whole.dtype
+            assert logits.tobytes() == whole.tobytes(), size
 
 
 class TestComparativeRuns:
