@@ -25,10 +25,10 @@ from .errors import ConfigError, DataError, TrainingDiverged, UninitializedState
 from .tensor import softmax_cross_entropy
 
 SAMPLERS = ("plain", "mrr")
-# train() scores its validation split in batches of this size, whatever the
-# training batch: an eval forward couples no samples (BatchNorm uses running
-# statistics, the affinity step a stored buffer), so the batch size changes
-# only speed and memory, never a logit.
+# train() scores validation in batches of max(config.batch_size, this): an
+# eval forward couples no samples (BatchNorm uses running statistics, the
+# affinity step a stored buffer), and its logits kept every bit at each batch
+# size tested, which rests on the BLAS (see GEMM_COLUMN_TILE in tensor.py)
 VAL_BATCH = 64
 
 
@@ -168,9 +168,9 @@ def train(
     split indexes. When out_dir is given, a checkpoint directory is
     written there with the outcome as its extra["result"].
 
-    The validation split is scored in VAL_BATCH batches whatever
-    config.batch_size is. An eval forward treats every sample alone, so
-    this cannot change a prediction, only the speed and memory of a pass.
+    The validation split is scored in batches of max(config.batch_size,
+    VAL_BATCH), so a small-batch run makes fewer eval forwards; the
+    logits keep every bit under the BLAS tested (TestEvalBatchInvariance).
     """
     if index.images is None:
         raise ConfigError("training needs a loaded index (images present)")
@@ -180,6 +180,7 @@ def train(
     network = build_network(description, seed=config.seed)
     optimizer = Adam(network.params(), lr=config.lr)
 
+    val_batch = max(config.batch_size, VAL_BATCH)
     history = []
     halt_reason = ""
     for epoch in range(config.epochs):
@@ -206,7 +207,7 @@ def train(
             network.load_state_dict(last_good)
             break
         # the run's result unless a later epoch completes: a rollback restores this state
-        confusion, final_wa, final_ua = evaluate(network, val_index, VAL_BATCH)
+        confusion, final_wa, final_ua = evaluate(network, val_index, val_batch)
         history.append(
             {
                 "epoch": epoch + 1,
@@ -219,7 +220,7 @@ def train(
 
     if not history:  # no epoch completed, so nothing has scored the initial state
         try:
-            confusion, final_wa, final_ua = evaluate(network, val_index, VAL_BATCH)
+            confusion, final_wa, final_ua = evaluate(network, val_index, val_batch)
         except UninitializedStateError:
             # diverged before the first epoch finished; there is nothing to score
             confusion = ConfusionMatrix(classes=list(index.classes))
