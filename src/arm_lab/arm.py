@@ -571,7 +571,7 @@ def build_network(description: dict, seed: int = 0) -> Network:
 
 
 def environment() -> dict:
-    """What bitwise replay depends on: interpreter, numpy, its BLAS, the sweep thread cap."""
+    """What bitwise replay depends on: the interpreter, numpy and its BLAS."""
     try:
         blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     except TypeError:  # numpy before 1.26 has no dict mode
@@ -581,7 +581,6 @@ def environment() -> dict:
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
-        "arm_lab_threads": os.environ.get("ARM_LAB_THREADS"),
     }
 
 

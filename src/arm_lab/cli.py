@@ -459,11 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=256)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser(
-        "sweep-k",
-        help="train one stride-1 weighting head per kernel size "
-        "(ARM_LAB_THREADS caps concurrency)",
-    )
+    p = sub.add_parser("sweep-k", help="train one stride-1 weighting head per kernel size")
     add_train_options(p)
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=8)

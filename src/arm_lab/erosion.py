@@ -12,9 +12,6 @@ here is exactly built from the outer product of two O(extent) axis profiles.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -132,9 +129,7 @@ def k_sweep(
     config failure, or a run that diverged, becomes that k's error row (NaN
     scores; a divergence's error is its halt reason, e.g. "epoch 1:
     non-finite loss") and the sweep continues; any other exception
-    propagates. ARM_LAB_THREADS (default 1) caps how many kernel sizes
-    train concurrently, on worker threads reused across calls; results are
-    ordered by input position either way.
+    propagates. Kernel sizes train one after another, in input order.
     """
     from .train import train_sweep_point
 
@@ -148,40 +143,5 @@ def k_sweep(
         except (GeometryError, ConfigError, TrainingDiverged) as exc:
             return {"k": k, "wa": float("nan"), "ua": float("nan"), "error": str(exc)}
 
-    ks = [int(k) for k in k_values]
-    workers = sweep_worker_count()
-    if workers <= 1:
-        return [run_one(k) for k in ks]
-    return list(_sweep_pool(workers).map(run_one, ks))
-
-
-_SWEEP_POOLS: dict[int, ThreadPoolExecutor] = {}
-_SWEEP_POOLS_LOCK = threading.Lock()
-
-
-def _sweep_pool(workers: int) -> ThreadPoolExecutor:
-    """The process's k_sweep pool for a worker count, created on first use.
-
-    Its threads outlive each sweep on purpose. With a pool per call, a new
-    worker that started while the previous call's workers were still
-    exiting got a fresh malloc arena, so resident memory grew by a whole
-    training run's working set at random points of repeated sweeps.
-    """
-    with _SWEEP_POOLS_LOCK:
-        pool = _SWEEP_POOLS.get(workers)
-        if pool is None:
-            pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="k_sweep")
-            _SWEEP_POOLS[workers] = pool
-        return pool
-
-
-def sweep_worker_count() -> int:
-    """Worker cap for k_sweep, from ARM_LAB_THREADS (default and minimum 1)."""
-    raw = os.environ.get("ARM_LAB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"ARM_LAB_THREADS must be an integer, got {raw!r}") from None
-    return max(1, value)
+    ks = [int(k) for k in k_values]  # a non-integer k fails before any training
+    return [run_one(k) for k in ks]

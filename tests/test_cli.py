@@ -214,8 +214,7 @@ class TestTrainCommand:
         assert (trained / "confusion.csv").exists()
         assert (trained / "checkpoint" / "manifest.json").exists()
 
-    def test_manifests_record_the_environment(self, trained, corpus, tmp_path, monkeypatch):
-        monkeypatch.setenv("ARM_LAB_THREADS", "2")
+    def test_manifests_record_the_environment(self, trained, corpus, tmp_path):
         assert main(["perception", "--height", "7", "--width", "7", "--kernel", "3",
                      "--out", str(tmp_path / "p")]) == 0
         blocks = [
@@ -225,10 +224,9 @@ class TestTrainCommand:
             read_manifest(tmp_path / "p")["environment"],
         ]
         for block in blocks:
-            assert sorted(block) == ["arm_lab_threads", "blas", "blas_version", "numpy", "python"]
+            assert sorted(block) == ["blas", "blas_version", "numpy", "python"]
             assert block["numpy"] == np.__version__
             assert block["python"] == platform.python_version()
-        assert blocks[-1]["arm_lab_threads"] == "2"
 
     def test_repeated_class_name_is_data_error(self, corpus, tmp_path, capsys):
         root = tmp_path / "corpus"
@@ -576,8 +574,7 @@ class TestInputExtent:
 
 
 class TestSweepCommand:
-    def test_sweep_records_failures_without_dying(self, corpus, tmp_path, monkeypatch):
-        monkeypatch.setenv("ARM_LAB_THREADS", "2")
+    def test_sweep_records_failures_without_dying(self, corpus, tmp_path):
         out = tmp_path / "sweep"
         code = main(
             ["sweep-k", "--data", str(corpus), "--out", str(out),
@@ -596,7 +593,6 @@ class TestSweepCommand:
         assert manifest["checks"]["completed"] == 2
         assert manifest["checks"]["failed"] == 1
         assert manifest["results"]["best_k"] in (3, 4)
-        assert manifest["environment"]["arm_lab_threads"] == "2"
 
     def test_bad_range(self, corpus, tmp_path):
         code = main(

@@ -15,9 +15,8 @@ from arm_lab.erosion import (
     k_sweep,
     outer_ring_interior_split,
     perception_map,
-    sweep_worker_count,
 )
-from arm_lab.errors import ConfigError, GeometryError, KernelTooLargeError
+from arm_lab.errors import GeometryError, KernelTooLargeError
 from arm_lab.tensor import ConvGeometry, softmax_cross_entropy
 from arm_lab.train import TrainConfig
 
@@ -225,46 +224,31 @@ class TestClusterWeights:
             outer_ring_interior_split(np.ones((2, 5), dtype=np.int64))
 
 
-class TestSweepWorkers:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("ARM_LAB_THREADS", raising=False)
-        assert sweep_worker_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("ARM_LAB_THREADS", "3")
-        assert sweep_worker_count() == 3
-        monkeypatch.setenv("ARM_LAB_THREADS", "0")
-        assert sweep_worker_count() == 1
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("ARM_LAB_THREADS", "many")
-        with pytest.raises(ConfigError, match="ARM_LAB_THREADS"):
-            sweep_worker_count()
-
-    def test_pool_threads_outlive_each_sweep(self, monkeypatch):
-        seen = []
+class TestKSweepOrder:
+    def test_every_kernel_trains_on_the_calling_thread_in_order(self, monkeypatch):
+        calls = []
 
         def record(index, k, *args):
-            seen.append(threading.current_thread())
+            calls.append((k, threading.current_thread()))
             return {"k": k, "wa": 1.0, "ua": 1.0}
 
         monkeypatch.setattr(TRAIN_MODULE, "train_sweep_point", record)
+        # a leftover thread cap in the environment changes nothing
         monkeypatch.setenv("ARM_LAB_THREADS", "2")
-        for _ in range(5):
-            rows = k_sweep(None, [1, 2, 3, 4], None)
-            assert [row["k"] for row in rows] == [1, 2, 3, 4]
-        assert threading.main_thread() not in seen
-        assert len(set(seen)) <= 2
+        threads_before = threading.active_count()
+        rows = k_sweep(None, [1, 2, 3, 4], None)
+        assert [k for k, _ in calls] == [1, 2, 3, 4]
+        assert all(thread is threading.main_thread() for _, thread in calls)
+        assert threading.active_count() == threads_before
+        assert [row["k"] for row in rows] == [1, 2, 3, 4]
 
 
 class TestKSweepFailures:
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_programming_error_propagates(self, monkeypatch, threads):
+    def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("bug in the sweep point")
 
         monkeypatch.setattr(TRAIN_MODULE, "train_sweep_point", broken)
-        monkeypatch.setenv("ARM_LAB_THREADS", threads)
         with pytest.raises(RuntimeError, match="bug in the sweep point"):
             k_sweep(None, [1, 2], None)
 
