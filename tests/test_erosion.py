@@ -244,13 +244,21 @@ class TestKSweepOrder:
 
 
 class TestKSweepFailures:
-    def test_programming_error_propagates(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise RuntimeError("bug in the sweep point")
+    @pytest.mark.parametrize("failing_k", [1, 2])
+    def test_programming_error_propagates(self, monkeypatch, failing_k):
+        trained = []
 
-        monkeypatch.setattr(TRAIN_MODULE, "train_sweep_point", broken)
+        def broken_at(index, k, *args):
+            trained.append(k)
+            if k == failing_k:
+                raise RuntimeError("bug in the sweep point")
+            return {"k": k, "wa": 1.0, "ua": 1.0}
+
+        monkeypatch.setattr(TRAIN_MODULE, "train_sweep_point", broken_at)
         with pytest.raises(RuntimeError, match="bug in the sweep point"):
-            k_sweep(None, [1, 2], None)
+            k_sweep(None, [1, 2, 3], None)
+        # the bug stops the sweep: no later kernel size trains
+        assert trained == list(range(1, failing_k + 1))
 
     def test_diverged_kernel_is_an_error_row(self, corpus_index, monkeypatch):
         def nan_loss(logits, labels):
