@@ -322,16 +322,9 @@ def cmd_sweep_k(args) -> int:
         raise ConfigError(
             f"need 1 <= k-min <= k-max, got {args.k_min}..{args.k_max}"
         )
-    if args.blocks < 1 or args.out_channels < 1:
-        raise ConfigError(
-            f"--blocks and --out-channels must be >= 1, got {args.blocks} and {args.out_channels}"
-        )
     index = load_dataset(args.data)
     config = _train_config(args)
-    rows = k_sweep(
-        index, range(args.k_min, args.k_max + 1), config,
-        out_channels=args.out_channels, downsampling_blocks=args.blocks,
-    )
+    rows = k_sweep(index, range(args.k_min, args.k_max + 1), config)
     out = _ensure_out(args.out)
     with open(os.path.join(out, "sweep_k.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -459,12 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=256)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep-k", help="train one stride-1 weighting head per kernel size")
+    p = sub.add_parser(
+        "sweep-k",
+        help="train one stride-1 weighting head per kernel size on a fixed 8,16 backbone",
+    )
     add_train_options(p)
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--out-channels", type=int, default=16)
-    p.add_argument("--blocks", type=int, default=2)
     p.set_defaults(func=cmd_sweep_k)
 
     p = sub.add_parser("clusters", help="per-cluster weighting of the arranged map")

@@ -114,18 +114,13 @@ def outer_ring_interior_split(profile: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return profile[mask], profile[~mask]
 
 
-def k_sweep(
-    index,
-    k_values: Iterable[int],
-    base_config,
-    out_channels: int = 16,
-    downsampling_blocks: int = 2,
-):
+def k_sweep(index, k_values: Iterable[int], base_config):
     """Train one weighting-convolution classifier per kernel size.
 
     Each run replaces global average pooling with a stride-1 shared
     single-channel convolution of the given kernel size and an adaptive
-    classifier layer; returns a list of per-k result dicts. A geometry or
+    classifier layer; base_config.backbone_widths is replaced by
+    train.SWEEP_WIDTHS. Returns a list of per-k result dicts. A geometry or
     config failure, or a run that diverged, becomes that k's error row (NaN
     scores; a divergence's error is its halt reason, e.g. "epoch 1:
     non-finite loss") and the sweep continues; any other exception
@@ -135,9 +130,7 @@ def k_sweep(
 
     def run_one(k: int) -> dict:
         try:
-            result = train_sweep_point(
-                index, k, base_config, out_channels, downsampling_blocks
-            )
+            result = train_sweep_point(index, k, base_config)
             return {"k": k, "wa": result["wa"], "ua": result["ua"], "error": ""}
         # typed per-k failures become rows; any other exception is a bug and propagates
         except (GeometryError, ConfigError, TrainingDiverged) as exc:

@@ -30,6 +30,9 @@ SAMPLERS = ("plain", "mrr")
 # affinity step a stored buffer), and its logits kept every bit at each batch
 # size tested, which rests on the BLAS (see GEMM_COLUMN_TILE in tensor.py)
 VAL_BATCH = 64
+# the kernel sweep's fixed backbone: two stride-2 blocks, so k runs on a
+# larger map than the reference three-block backbone leaves
+SWEEP_WIDTHS = (8, 16)
 
 
 @dataclass(frozen=True)
@@ -248,26 +251,16 @@ def train(
                 confusion=confusion, train_index=train_index, val_index=val_index)
 
 
-def train_sweep_point(
-    index: DatasetIndex,
-    kernel: int,
-    base_config: TrainConfig,
-    out_channels: int = 16,
-    downsampling_blocks: int = 2,
-) -> dict:
+def train_sweep_point(index: DatasetIndex, kernel: int, base_config: TrainConfig) -> dict:
     """Train one stride-1 weighting-convolution classifier for one kernel size.
 
-    The backbone is shortened to the requested number of stride-2 blocks so
-    the kernel sweep happens on a larger spatial map. Geometry errors (kernel
+    base_config.backbone_widths is replaced by SWEEP_WIDTHS, so every kernel
+    size is swept on the same two-block backbone. Geometry errors (kernel
     larger than the map) propagate to the caller, and a diverged run raises
     TrainingDiverged with its halt reason instead of returning the scores of
     the rolled-back network.
     """
-    widths = tuple(
-        max(1, out_channels // 2 ** (downsampling_blocks - 1 - i))
-        for i in range(downsampling_blocks)
-    )
-    config = dataclasses.replace(base_config, backbone_widths=widths)
+    config = dataclasses.replace(base_config, backbone_widths=SWEEP_WIDTHS)
     description = build_description(index, config, "sweep", kernel=int(kernel))
     result = train(config, index, description=description)
     if result["diverged"]:

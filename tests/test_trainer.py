@@ -12,6 +12,7 @@ from arm_lab.data import DatasetIndex
 from arm_lab.errors import ConfigError, KernelTooLargeError, TrainingDiverged
 from arm_lab.tensor import Tensor, softmax_cross_entropy
 from arm_lab.train import (
+    SWEEP_WIDTHS,
     VAL_BATCH,
     Adam,
     TrainConfig,
@@ -414,3 +415,24 @@ class TestComparativeRuns:
         assert 0.0 <= row["wa"] <= 1.0
         with pytest.raises(KernelTooLargeError):
             train_sweep_point(corpus_index, kernel=99, base_config=config)
+
+    def test_sweep_point_trains_the_fixed_backbone(self, corpus_index, monkeypatch):
+        module = importlib.import_module("arm_lab.train")  # arm_lab.train is the function
+        calls = []
+
+        def recording(config, index, description=None, out_dir=None):
+            calls.append((config, description))
+            return {"diverged": False, "halt_reason": "", "wa": 0.5, "ua": 0.25}
+
+        monkeypatch.setattr(module, "train", recording)
+        config = small_config()
+        assert config.backbone_widths == SMALL_WIDTHS != SWEEP_WIDTHS
+        row = train_sweep_point(corpus_index, 2, config)
+        assert row == {"k": 2, "wa": 0.5, "ua": 0.25}
+        [(passed, description)] = calls
+        assert passed == dataclasses.replace(config, backbone_widths=SWEEP_WIDTHS)
+        assert description["type"] == "sweep"
+        assert description["kernel"] == 2
+        assert description["backbone_widths"] == list(SWEEP_WIDTHS)
+        # the widths the sweep-small benchmark workload trains
+        assert SWEEP_WIDTHS == (8, 16)
