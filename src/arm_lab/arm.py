@@ -10,6 +10,8 @@ into it, and only its smoothing coefficient can learn.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import os
@@ -570,17 +572,53 @@ def build_network(description: dict, seed: int = 0) -> Network:
     return Network(backbone, head, dict(description))
 
 
+@functools.cache
+def _openblas_getters():
+    """The loaded OpenBLAS's core-name and thread-count functions, or None.
+
+    numpy loads its BLAS privately, so the library is found by path in the
+    process's memory map (Linux only) and opened again through ctypes, which
+    hands back the copy already loaded.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "blas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"):
+            corename = getattr(lib, symbol.format("get_corename"), None)
+            threads = getattr(lib, symbol.format("get_num_threads"), None)
+            if corename is not None and threads is not None:
+                corename.restype, corename.argtypes = ctypes.c_char_p, []
+                threads.restype, threads.argtypes = ctypes.c_int, []
+                return corename, threads
+    return None
+
+
 def environment() -> dict:
-    """What bitwise replay depends on: the interpreter, numpy and its BLAS."""
+    """What bitwise replay depends on: the interpreter, numpy, its BLAS and the BLAS kernel.
+
+    `blas_core` is the kernel a run-time-dispatching OpenBLAS chose (the names
+    OPENBLAS_CORETYPE takes) and `blas_threads` its live thread count; both are
+    None where the BLAS is not OpenBLAS.
+    """
     try:
         blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     except TypeError:  # numpy before 1.26 has no dict mode
         blas = {}
+    getters = _openblas_getters()
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
+        "blas_core": getters[0]().decode() if getters else None,
+        "blas_threads": getters[1]() if getters else None,
     }
 
 

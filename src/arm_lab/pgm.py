@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import re
+
 import numpy as np
 
 from .errors import DataError
@@ -21,33 +24,30 @@ def write_pgm(path, image: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
+# P5, then width, height and maxval, each after whitespace or "#"-to-newline comments
+_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*)*(\S*)" * 3)
+
+
 def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw.startswith(b"P5"):
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        raw = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+    finally:
+        os.close(fd)
+    header = _HEADER.match(raw)
+    if header is None:
         raise DataError(f"{path}: not a binary PGM (P5) file")
     fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+    for token in header.groups():
+        if not token:
             raise DataError(f"{path}: truncated header")
-        token = raw[start:pos]
         if not token.isdigit():
             raise DataError(f"{path}: header field {token!r} is not a non-negative integer")
         fields.append(int(token))
-    pos += 1  # single whitespace byte after maxval
     width, height, maxval = fields
     if maxval != 255:
         raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
+    pos = header.end() + 1  # single whitespace byte after maxval
     payload = raw[pos : pos + width * height]
     if len(payload) != width * height:
         raise DataError(f"{path}: truncated payload")

@@ -14,8 +14,10 @@ are SHA-256 hex strings:
 The wall time and the minor page faults (ru_minflt) cover the train() call
 alone, not building the corpus; maxrss_mb is the whole process's peak
 resident set (ru_maxrss) after the call. So one command checks both the
-replay and the memory of a change. The file name does not match test_*.py,
-so pytest does not collect it.
+replay and the memory of a change. The last two lines name the OpenBLAS
+kernel the digests depend on and its live thread count, as
+arm_lab.arm.environment() records them. The file name does not match
+test_*.py, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from arm_lab.arm import environment
 from arm_lab.data import synth_dataset
 from arm_lab.train import TrainConfig, train
 
@@ -75,6 +78,9 @@ def main() -> None:
     print(f"maxrss_mb {usage.ru_maxrss / 1024:.1f}")  # Linux reports kilobytes
     print(f"minflt    {usage.ru_minflt - faults}")
     print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
+    blas = environment()
+    print(f"blas_core {blas['blas_core']}")
+    print(f"blas_threads {blas['blas_threads']}")
 
 
 if __name__ == "__main__":

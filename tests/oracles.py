@@ -404,3 +404,40 @@ def read_confusion_csv(path) -> tuple[list[str], np.ndarray]:
     classes = rows[0][1:]
     counts = np.array([[int(v) for v in row[1:]] for row in rows[1:]], dtype=np.int64)
     return classes, counts
+
+
+def pgm_header_oracle(raw: bytes, path) -> np.ndarray:
+    """A P5 file's pixels by the byte loop the reader used to run, or ValueError.
+
+    Whitespace is what bytes.isspace() accepts; a "#" comment may start only
+    where a field may and runs to the next newline; a field is a run of ASCII
+    digits; exactly one byte follows maxval. The messages are the reader's.
+    """
+    if not raw.startswith(b"P5"):
+        raise ValueError(f"{path}: not a binary PGM (P5) file")
+    fields = []
+    pos = 2
+    while len(fields) < 3:
+        while pos < len(raw) and raw[pos : pos + 1].isspace():
+            pos += 1
+        if pos < len(raw) and raw[pos : pos + 1] == b"#":
+            while pos < len(raw) and raw[pos] != 0x0A:
+                pos += 1
+            continue
+        start = pos
+        while pos < len(raw) and not raw[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise ValueError(f"{path}: truncated header")
+        token = raw[start:pos]
+        if not token.isdigit():
+            raise ValueError(f"{path}: header field {token!r} is not a non-negative integer")
+        fields.append(int(token))
+    pos += 1  # single whitespace byte after maxval
+    width, height, maxval = fields
+    if maxval != 255:
+        raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
+    payload = raw[pos : pos + width * height]
+    if len(payload) != width * height:
+        raise ValueError(f"{path}: truncated payload")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width)

@@ -1,6 +1,10 @@
 import filecmp
 import json
+import os
+import platform
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +27,7 @@ from arm_lab.arm import (
     arm_param_count,
     backbone_extent,
     build_network,
+    environment,
     load_checkpoint,
     save_checkpoint,
 )
@@ -475,3 +480,33 @@ class TestModuleTree:
     def test_reference_arm_network_reaches_four_batchnorms(self):
         network = build_network(reference_description("arm"), seed=0)
         assert sum(isinstance(module, BatchNorm) for module in walk(network)) == 4
+
+
+class TestEnvironment:
+    """The replay record names the BLAS kernel and its live thread count."""
+
+    def test_keys_and_types(self):
+        record = environment()
+        assert record["python"] == platform.python_version()
+        assert record["numpy"] == np.__version__
+        assert record["blas_core"] is None or isinstance(record["blas_core"], str)
+        assert record["blas_threads"] is None or isinstance(record["blas_threads"], int)
+        if "openblas" in (record["blas"] or ""):
+            assert record["blas_core"] and record["blas_threads"] >= 1
+        else:
+            assert record["blas_core"] is None and record["blas_threads"] is None
+
+    def test_thread_count_is_the_one_the_blas_runs(self):
+        if environment()["blas_threads"] is None:
+            pytest.skip("the BLAS is not OpenBLAS")
+        package_parent = str(Path(arm_module.__file__).resolve().parent.parent)
+        # OpenBLAS caps a larger request at the core count, so ask for one thread
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [package_parent, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run(
+            [sys.executable, "-c", "import json; from arm_lab.arm import environment; "
+             "print(json.dumps(environment()))"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout)["blas_threads"] == 1

@@ -224,7 +224,8 @@ class TestTrainCommand:
             read_manifest(tmp_path / "p")["environment"],
         ]
         for block in blocks:
-            assert sorted(block) == ["blas", "blas_version", "numpy", "python"]
+            assert sorted(block) == [
+                "blas", "blas_core", "blas_threads", "blas_version", "numpy", "python"]
             assert block["numpy"] == np.__version__
             assert block["python"] == platform.python_version()
 
@@ -273,7 +274,8 @@ class TestTrainCommand:
         assert "arm-lab: error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "damage", ["truncated_ten", "nan_ten", "inf_ten", "non_integer_pgm_header"]
+        "damage",
+        ["truncated_ten", "nan_ten", "inf_ten", "non_integer_pgm_header", "directory_pgm"],
     )
     def test_malformed_sample_is_data_error(self, tmp_path, capsys, damage):
         root = tmp_path / "corpus"
@@ -293,6 +295,9 @@ class TestTrainCommand:
                 (root / ten_rel).write_bytes((root / ten_rel).read_bytes()[:9])
             labels[1] = labels[1].replace(rel, ten_rel)
             (root / "labels.csv").write_text("\n".join(labels) + "\n")
+        elif damage == "directory_pgm":
+            os.remove(root / rel)
+            (root / rel).mkdir()
         else:
             (root / rel).write_bytes(b"P5\n16 x16\n255\n" + bytes(256))
         code = main(["train", "--data", str(root), "--out", str(tmp_path / "out"), *TRAIN_ARGS])

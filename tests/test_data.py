@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from arm_lab.data import (
@@ -20,8 +22,9 @@ from arm_lab.data import (
 )
 from arm_lab.errors import DataError
 from arm_lab.pgm import read_pgm, write_heatmap, write_pgm
+from arm_lab.tensor import save_tensor
 
-from oracles import accuracy_oracle, read_confusion_csv
+from oracles import accuracy_oracle, pgm_header_oracle, read_confusion_csv
 
 
 def label_only_index(counts, names=None):
@@ -146,6 +149,40 @@ class TestMetrics:
             metrics(ConfusionMatrix(classes=["a", "b"]))
 
 
+WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+
+
+def rarely(draw, odds, strategy, otherwise):
+    """Draw from strategy about once in odds draws; otherwise keep the given value."""
+    return draw(strategy) if draw(st.sampled_from([False] * (odds - 1) + [True])) else otherwise
+
+
+@st.composite
+def pgm_files(draw):
+    """P5-like bytes: a magic, three separated fields, one byte, then a payload.
+
+    Each departure from a well-formed file is drawn rarely, so about half of
+    the examples load and the rest fail in one place.
+    """
+    comment = st.builds(lambda text, end: b"#" + text + end,
+                        st.binary(max_size=4), st.sampled_from([b"\n", b"\n", b"\n", b""]))
+    pieces = st.lists(st.sampled_from(WHITESPACE) | comment, max_size=2)
+    raw = rarely(draw, 8, st.sampled_from([b"P2", b"P6", b"p5", b"P", b""]), b"P5")
+    height, width = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    maxval = rarely(draw, 8, st.sampled_from([b"65535", b"254", b"0255", b"0"]), b"255")
+    fields = [str(width).encode(), str(height).encode(), maxval]
+    bad_field = st.sampled_from(
+        [b"", b"-3", b"x4", b"4#x", b"+4", b"4.0", b"\xd9\xa3", b"00"])
+    for field in fields:
+        separator = draw(st.sampled_from(WHITESPACE)) + b"".join(draw(pieces))
+        separator = rarely(draw, 10, st.sampled_from([b"", b"#\n"]), separator)
+        raw += separator + rarely(draw, 10, bad_field, field)
+    raw += rarely(draw, 10, st.just(b""), draw(st.sampled_from(WHITESPACE)))
+    area = width * height
+    payload = draw(st.binary(min_size=area, max_size=area + 2))
+    return raw + payload[: rarely(draw, 6, st.integers(0, max(0, area - 1)), len(payload))]
+
+
 class TestPgm:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -171,6 +208,28 @@ class TestPgm:
         path.write_bytes(header + bytes(16))
         with pytest.raises(DataError, match="header field"):
             read_pgm(path)
+
+    def test_commented_header_loads(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5 # made by hand\n3\t# width\n# height next\n2\r255\n" + bytes(range(6)))
+        assert np.array_equal(read_pgm(path), np.arange(6, dtype=np.uint8).reshape(2, 3))
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=pgm_files())
+    def test_header_grammar_matches_the_byte_loop_oracle(self, tmp_path, raw):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(raw)
+        try:
+            expected = pgm_header_oracle(raw, path)
+        except ValueError as exc:
+            with pytest.raises(DataError) as caught:
+                read_pgm(path)
+            assert str(caught.value) == str(exc)
+        else:
+            image = read_pgm(path)
+            assert image.dtype == np.uint8 and image.shape == expected.shape
+            assert np.array_equal(image, expected)
 
     def test_heatmap_scales_peak_to_white(self, tmp_path):
         path = tmp_path / "heat.pgm"
@@ -243,7 +302,7 @@ class TestLoadDataset:
     def test_missing_image_named(self, tmp_path):
         synth_dataset(tmp_path, 2, 2, extent=8, seed=0)
         os.remove(tmp_path / "class_1" / "sample_0001.pgm")
-        with pytest.raises(DataError, match="class_1/sample_0001.pgm"):
+        with pytest.raises(DataError, match="missing image file 'class_1/sample_0001.pgm'"):
             load_dataset(tmp_path)
 
     def test_repeated_class_name(self, tmp_path):
@@ -253,6 +312,47 @@ class TestLoadDataset:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DataError, match="repeats \\['class_0'\\]"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("rel, message", [
+        ("class_0", "class_0: cannot read the image file: .*Is a directory"),
+        ("stack.ten", "stack.ten: cannot read the image file: .*Is a directory"),
+        ("class_0/sample_0000.pgm/x.pgm", "x.pgm: cannot read the image file: .*Not a directory"),
+        ("class_0/sample\0.pgm", "cannot read the image file: embedded null byte"),
+    ], ids=["directory", "ten-directory", "file-as-parent", "nul-byte"])
+    def test_unreadable_image_row_is_data_error(self, tmp_path, rel, message):
+        synth_dataset(tmp_path, 2, 2, extent=8, seed=0)
+        (tmp_path / "stack.ten").mkdir()
+        with open(tmp_path / "labels.csv", "a", newline="") as fh:
+            csv.writer(fh).writerow([rel, "class_0"])
+        with pytest.raises(DataError, match=message):
+            load_dataset(tmp_path)
+
+    def test_header_field_past_the_int_digit_limit_is_data_error(self, tmp_path):
+        synth_dataset(tmp_path, 2, 2, extent=4, seed=0)
+        (tmp_path / "class_0" / "sample_0000.pgm").write_bytes(
+            b"P5 " + b"1" * 5000 + b" 4 255\n" + bytes(16))
+        with pytest.raises(DataError, match="sample_0000.pgm: cannot read the image file"):
+            load_dataset(tmp_path)
+
+    def test_images_are_the_scaled_pgm_bytes(self, tmp_path):
+        idx = synth_dataset(tmp_path, 3, 4, extent=8, seed=1)
+        expected = np.stack(
+            [read_pgm(tmp_path / rel).astype(np.float32) / 255.0 for rel in idx.paths]
+        )[:, None]
+        assert idx.images.dtype == np.float32 and idx.images.shape == (12, 1, 8, 8)
+        assert idx.images.flags.c_contiguous
+        assert idx.images.tobytes() == expected.tobytes()
+
+    def test_ten_rows_come_through_unscaled(self, tmp_path):
+        idx = synth_dataset(tmp_path, 2, 3, extent=8, seed=2)
+        values = np.linspace(-2.0, 300.0, 64, dtype=np.float32).reshape(8, 8)
+        save_tensor(tmp_path / "raw.ten", values)
+        with open(tmp_path / "labels.csv", "a", newline="") as fh:
+            csv.writer(fh).writerow(["raw.ten", "class_1"])
+        mixed = load_dataset(tmp_path)
+        assert mixed.images.dtype == np.float32 and mixed.images.flags.c_contiguous
+        assert mixed.images[-1, 0].tobytes() == values.tobytes()
+        assert mixed.images[:-1].tobytes() == idx.images.tobytes()
 
     def test_mismatched_extents(self, tmp_path):
         synth_dataset(tmp_path, 2, 2, extent=8, seed=0)
