@@ -146,7 +146,9 @@ class Module:
     child's state under the child's prefix. Layers' forward(x, mode) returns
     (output, backward cache); backward(grad_out, cache) accumulates parameter
     gradients and returns the input gradient, except that TinyBackbone and
-    Network, whose input is the images, return None.
+    Network, whose input is the images, return None. A backward consumes its
+    cache: ConvBlock, TinyBackbone and Network empty theirs, so each saved
+    array is freed once the backward of the stage that saved it has run.
     """
 
     PARAMS: tuple[tuple[str, str], ...] = ()
@@ -352,12 +354,13 @@ class ConvBlock(Conv):
         bn_out, bn_cache = self.bn.forward(conv_out, mode)
         # bn_out is fresh, so it is rectified in place; it is positive exactly where it was
         activated = relu(bn_out, out=bn_out)
-        return activated, (x, activated, bn_cache)
+        return activated, [x, bn_cache, activated]
 
     def backward(self, grad_out: np.ndarray, cache, input_grad: bool = True) -> np.ndarray | None:
-        x, activated, bn_cache = cache
-        grad_conv = self.bn.backward(relu_backward(grad_out, activated), bn_cache)
-        return super().backward(grad_conv, x, input_grad)
+        # popped last to first, each saved array and gradient dies once read
+        grad_out = relu_backward(grad_out, cache.pop())
+        grad_out = self.bn.backward(grad_out, cache.pop())
+        return super().backward(grad_out, cache.pop(), input_grad)
 
 
 class TinyBackbone(Module):
@@ -378,11 +381,13 @@ class TinyBackbone(Module):
         return x, caches
 
     def backward(self, grad_out: np.ndarray, caches) -> None:
-        """Accumulate every block's gradients; nothing reads the images' own, so it is skipped."""
-        # lay the head's gradient out like the activations it meets, batch innermost
-        grad_out = np.ascontiguousarray(grad_out.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        """Accumulate every block's gradients, popping caches; nothing reads the images' own."""
+        # lay the head's gradient out like the activations it meets, batch innermost;
+        # the gradient in flight lives only in this list, so a block can free it
+        held = [np.ascontiguousarray(grad_out.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)]
+        del grad_out
         for i in reversed(range(len(self.blocks))):
-            grad_out = self.blocks[i].backward(grad_out, caches[i], input_grad=i > 0)
+            held.append(self.blocks[i].backward(held.pop(), caches.pop(), input_grad=i > 0))
 
     def children(self):
         return [(f"block{i}.", block) for i, block in enumerate(self.blocks)]
@@ -512,7 +517,9 @@ class Network(Module):
         return logits, {"backbone": bb_caches, "head": head_cache}
 
     def backward(self, grad_logits: np.ndarray, cache) -> None:
-        self.backbone.backward(self.head.backward(grad_logits, cache["head"]), cache["backbone"])
+        self.backbone.backward(
+            self.head.backward(grad_logits, cache.pop("head")), cache.pop("backbone")
+        )
 
     def zero_grads(self):
         for _, tensor in self.params():

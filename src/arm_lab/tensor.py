@@ -18,7 +18,9 @@ of output rows at a time, and batchnorm (in both modes) and
 batchnorm_backward work one group of whole channels at a time, in slabs
 of about SLAB_VALUES values each. ReLU can rectify a fresh array in place,
 and conv2d_backward writes the column gradient into its column buffer.
-Each of these evaluates the same expressions in the same order, so every
+Its col2im adds each tap's in-bounds range straight into the unpadded
+(C, H, W, B) gradient: no padded gradient buffer, no interior copy. Each
+of these evaluates the same expressions in the same order, so every
 result is unchanged bit for bit.
 
 Importing this module sets one heap policy for the whole process. Every
@@ -270,6 +272,15 @@ def _im2col(src: np.ndarray, geom: ConvGeometry, first_row: int, cols: np.ndarra
     return cols.reshape(c * k * k, rows * out_w * b)
 
 
+def _in_bounds(offset: int, stride: int, out_extent: int, extent: int) -> tuple[slice, slice]:
+    """The output positions i whose input position i*stride + offset lies in
+    [0, extent), and those input positions, as slices (empty if there are none)."""
+    first = max(0, -(offset // stride))
+    stop = max(first, min(out_extent, (extent - 1 - offset) // stride + 1))
+    start = first * stride + offset
+    return slice(first, stop), slice(start, start + (stop - first) * stride, stride)
+
+
 def conv2d_forward(x: np.ndarray, kernel: Tensor, geom: ConvGeometry) -> np.ndarray:
     """Cross-correlate x with the kernel; padding logically extends x with zeros.
 
@@ -326,13 +337,14 @@ def conv2d_backward(
     kernel) W^T @ go is an outer product, which numpy's matmul does not send
     to BLAS; the broadcast product W^T * go gives the same values about ten
     times faster. Only the sign of a zero product can differ, and col2im
-    erases it: it adds each tap's plane back onto a float32
-    (C, H + 2p, W + 2p, B) buffer of +0.0, taps in (ky, kx) order, and a sum
-    that starts from +0.0 never reads -0.0. grad_x is an NCHW-shaped view of
-    a copy of that buffer's interior, batch-innermost like the forward
-    output. With input_grad=False only the kernel gradient is computed and
-    grad_x is None. At the reference shapes both gradients lie within 1e-6 of float64's,
-    relative to their largest magnitude.
+    erases it: it adds each tap's plane, over the output positions whose
+    input lies in the image (_in_bounds), onto a float32 (C, H, W, B)
+    buffer of +0.0, taps in (ky, kx) order, and a sum that starts from +0.0
+    never reads -0.0. grad_x is an NCHW-shaped view of that buffer,
+    batch-innermost like the forward output. With input_grad=False only the
+    kernel gradient is computed and grad_x is None. At the reference shapes
+    both gradients lie within 1e-6 of float64's, relative to their largest
+    magnitude.
     """
     planes, kmat, out_h, out_w = _conv_operands(x, kernel, geom)
     expected = (x.shape[0], geom.out_channels, out_h, out_w)
@@ -354,14 +366,14 @@ def conv2d_backward(
     else:
         grad_cols = np.matmul(kmat.T, go, out=cols)
     grad_cols = grad_cols.reshape(ci, k, k, out_h, out_w, b)
-    grad_padded = np.zeros((ci, h + 2 * p, w + 2 * p, b), np.float32)
+    grad_x = np.zeros((ci, h, w, b), np.float32)
     for ky in range(k):
+        out_rows, ys = _in_bounds(ky - p, s, out_h, h)
         for kx in range(k):
-            tap = grad_padded[:, ky : ky + s * out_h : s, kx : kx + s * out_w : s]
-            tap += grad_cols[:, ky, kx]
-    del cols, grad_cols  # free the column buffer before the interior copy
-    grad_x = grad_padded[:, p : p + h, p : p + w].copy().transpose(3, 0, 1, 2)
-    return grad_x.reshape(x.shape), grad_kernel
+            out_cols, xs = _in_bounds(kx - p, s, out_w, w)
+            tap = grad_x[:, ys, xs]
+            tap += grad_cols[:, ky, kx, out_rows, out_cols]
+    return grad_x.transpose(3, 0, 1, 2).reshape(x.shape), grad_kernel
 
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -7,6 +7,7 @@ many geometries.
 """
 
 import copy
+import tracemalloc
 import zlib
 from functools import partial
 
@@ -66,6 +67,21 @@ def finite_diff_grad(f, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
         denom = float(hi) - float(lo)
         grad[i] = (f_hi - f_lo) / denom
     return grad.reshape(x.shape)
+
+
+def traced_peak(fn) -> int:
+    """Bytes allocated at the peak of fn(), over what was live before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def _rel_error(fd: np.ndarray, analytic: np.ndarray) -> float:

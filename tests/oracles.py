@@ -205,49 +205,61 @@ def conv_backward_float64(
     return grad_padded[:, :, padding : padding + h, padding : padding + w], grad_kernel
 
 
-def conv_backward_matmul(
+def conv_backward_padded(
     x: np.ndarray,
     kernel: np.ndarray,
     grad_out: np.ndarray,
     stride: int,
     padding: int,
     shared: bool,
+    broadcast: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The float32 backward with the column gradient as one matmul, W^T @ go.
+    """conv2d_backward as it was while its col2im ran on a padded buffer.
 
-    These are conv2d_backward's expressions before a shared kernel's column
-    gradient became a broadcast product: float32 im2col columns, a row per
-    (channel, ky, kx) tap and a column per (i, j, b) output position, batch
-    innermost; the kernel gradient go @ cols^T; the column gradient matmul'd
-    into the column buffer and added back tap by tap in (ky, kx) order. The
-    primitive must equal them bit for bit.
+    Float32 im2col columns, a row per (channel, ky, kx) tap and a column per
+    (i, j, b) output position, batch innermost; the kernel gradient
+    go @ cols^T; the column gradient W^T @ go written into the column buffer,
+    as a broadcast product when there is one output channel (broadcast=False
+    keeps the matmul there, as before that change). col2im adds each tap's
+    plane back onto a (C, H + 2p, W + 2p, B) buffer of +0.0 in (ky, kx)
+    order, and grad_x is a copy of its interior. The primitive must equal
+    this bit for bit, zero signs included.
     """
     n, c, h, w = x.shape
     k = kernel.shape[-1]
+    s, p = stride, padding
     _, _, out_h, out_w = grad_out.shape
     planes = np.asarray(x, np.float32).reshape(-1, 1 if shared else c, h, w)
     b, ci = planes.shape[:2]
-    padded = np.zeros((ci, h + 2 * padding, w + 2 * padding, b), np.float32)
-    padded[:, padding : padding + h, padding : padding + w] = planes.transpose(1, 2, 3, 0)
-    windows = [
-        (slice(None), slice(ky, ky + stride * out_h, stride), slice(kx, kx + stride * out_w, stride))
-        for ky in range(k)
-        for kx in range(k)
-    ]
-    cols = np.empty((ci, k * k, out_h, out_w, b), np.float32)
-    for tap, window in enumerate(windows):
-        cols[:, tap] = padded[window]
+    padded = np.zeros((ci, h + 2 * p, w + 2 * p, b), np.float32)
+    padded[:, p : p + h, p : p + w] = planes.transpose(1, 2, 3, 0)
+    cols = np.empty((ci, k, k, out_h, out_w, b), np.float32)
+    for ky in range(k):
+        for kx in range(k):
+            cols[:, ky, kx] = padded[:, ky : ky + s * out_h : s, kx : kx + s * out_w : s]
     cols = cols.reshape(ci * k * k, -1)
     kmat = np.asarray(kernel, np.float32).reshape(-1, ci * k * k)
     go = np.asarray(grad_out, np.float32).reshape(b, -1, out_h, out_w).transpose(1, 2, 3, 0)
     go = np.ascontiguousarray(go).reshape(kmat.shape[0], -1)
     grad_kernel = (go @ cols.T).reshape(kernel.shape)
-    grad_cols = np.matmul(kmat.T, go, out=cols).reshape(ci, k * k, out_h, out_w, b)
-    grad_padded = np.zeros_like(padded)
-    for tap, window in enumerate(windows):
-        grad_padded[window] += grad_cols[:, tap]
-    grad_x = grad_padded[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2)
+    if broadcast and kmat.shape[0] == 1:
+        grad_cols = np.multiply(kmat.T, go, out=cols)
+    else:
+        grad_cols = np.matmul(kmat.T, go, out=cols)
+    grad_cols = grad_cols.reshape(ci, k, k, out_h, out_w, b)
+    grad_padded = np.zeros((ci, h + 2 * p, w + 2 * p, b), np.float32)
+    for ky in range(k):
+        for kx in range(k):
+            tap = grad_padded[:, ky : ky + s * out_h : s, kx : kx + s * out_w : s]
+            tap += grad_cols[:, ky, kx]
+    del cols, grad_cols  # free the column buffer before the interior copy
+    grad_x = grad_padded[:, p : p + h, p : p + w].copy().transpose(3, 0, 1, 2)
     return grad_x.reshape(x.shape), grad_kernel
+
+
+def conv_backward_matmul(x, kernel, grad_out, stride, padding, shared):
+    """conv_backward_padded with the column gradient always one matmul, W^T @ go."""
+    return conv_backward_padded(x, kernel, grad_out, stride, padding, shared, broadcast=False)
 
 
 # The three expressions below are batchnorm, batchnorm_backward and

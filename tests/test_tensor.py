@@ -3,7 +3,6 @@ import os
 import platform
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +34,7 @@ from arm_lab.tensor import (
     softmax_cross_entropy,
 )
 
-from gradcheck import batch_innermost, finite_diff_grad
+from gradcheck import batch_innermost, finite_diff_grad, traced_peak
 from oracles import (
     batchnorm_backward_oracle,
     batchnorm_oracle,
@@ -43,6 +42,7 @@ from oracles import (
     conv_backward_float64,
     conv_backward_matmul,
     conv_backward_oracle,
+    conv_backward_padded,
     conv_forward_one_gemm,
     conv_oracle,
     relu_backward_oracle,
@@ -327,6 +327,45 @@ class TestSharedKernelColumnGradient:
             assert_same_bits(got_grad, want)
 
 
+@st.composite
+def col2im_cases(draw):
+    """A convolution that fits, with padding up to past the kernel, odd and
+    even extents, a dense or shared kernel, and scratch layouts for x and grad_out."""
+    k, s = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    p = draw(st.integers(0, k + 1))
+    h, w = draw(st.integers(max(1, k - 2 * p), 9)), draw(st.integers(max(1, k - 2 * p), 9))
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shared = draw(st.booleans())
+    oc = c if shared else draw(st.integers(1, 3))
+    layouts = draw(st.sampled_from(SCRATCH_LAYOUTS))
+    return (n, c, h, w, k, s, p, oc, shared), layouts, draw(st.integers(0, 2**32 - 1))
+
+
+class TestCol2im:
+    """col2im adds straight into the unpadded gradient: the padded buffer's values, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(col2im_cases())
+    def test_equals_the_padded_buffer(self, case):
+        (n, c, h, w, k, s, p, oc, shared), (x_layout, grad_layout), seed = case
+        rng = np.random.default_rng(seed)
+        geom = ConvGeometry(k, s, p, c, oc, shared_single_channel=shared)
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        kernel = rng.standard_normal(geom.kernel_shape()).astype(np.float32)
+        kernel.reshape(-1)[::3] = 0.0  # zero products, with either sign
+        out_shape = (n, oc, geom.out_extent(h), geom.out_extent(w))
+        grad_out = gradient_in(rng, out_shape, grad_layout)
+        grad_out[..., ::2] = -0.0
+        grad_out[:, :, ::2] *= -1.0  # a -0.0 times -1.0 is +0.0
+        got_x, got_kernel = conv2d_backward(grad_out, in_layout(x, x_layout), Tensor(kernel), geom)
+        want_x, want_kernel = conv_backward_padded(x, kernel, grad_out, s, p, shared)
+        assert_same_bits(got_x, want_x)
+        assert_same_bits(got_kernel, want_kernel)
+        # still a batch-innermost view: (C', H, W, B) over the dense conv's B planes
+        planes = got_x.reshape(-1, 1 if shared else c, h, w)
+        assert planes.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
 # (x shape, kernel, stride, padding, out channels, shared): the forward runs in
 # row chunks there; the dense case's rows leave a short last chunk
 CHUNKED_CONVS = {
@@ -417,21 +456,6 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 is not +0.0
-
-
-def traced_peak(fn) -> int:
-    """Bytes allocated at the peak of fn(), over what was live before it."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 BLOCK0_SHAPE = (252, 8, 16, 16)  # block 0's BatchNorm input in the train-arm step
@@ -543,8 +567,10 @@ class TestScratchReuse:
         grad_out = batch_innermost(rng.standard_normal((n, 16, 8, 8)).astype(np.float32))
         cols = c * 9 * 8 * 8 * n * 4
         padded = c * (h + 2) * (w + 2) * n * 4
-        # the float32 column buffer, padded buffer and go matrix, and slack
-        budget = cols + padded + grad_out.size * 4 + 64 * 1024
+        # the float32 column buffer and padded input, and slack: go is a view of
+        # the batch-innermost grad_out, and col2im adds into the unpadded gradient
+        # once the padded input is freed (a padded col2im buffer peaks 72 KB above)
+        budget = cols + padded + 16 * 1024
         assert traced_peak(lambda: conv2d_backward(grad_out, x, kernel, geom)) <= budget
 
     def test_batchnorm_train_step_peak_is_the_results_and_three_slabs(self):

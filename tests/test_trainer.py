@@ -1,14 +1,20 @@
 import dataclasses
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import accuracy_oracle, adam_oracle
 
-from arm_lab.arm import build_network, load_checkpoint
-from arm_lab.data import DatasetIndex
+import arm_lab
+from arm_lab.arm import build_network, environment, load_checkpoint
+from arm_lab.data import DatasetIndex, synth_dataset
 from arm_lab.errors import ConfigError, KernelTooLargeError, TrainingDiverged
 from arm_lab.tensor import Tensor, softmax_cross_entropy
 from arm_lab.train import (
@@ -366,6 +372,58 @@ class TestEvalBatchInvariance:
             logits = self.batched_logits(trained, images, size)
             assert logits.shape == whole.shape and logits.dtype == whole.dtype
             assert logits.tobytes() == whole.tobytes(), size
+
+
+# a small train() call on train-arm's corpus, in a fresh interpreter whose
+# OpenBLAS kernel the environment chooses
+REPLAY_CHILD = """
+import json, sys
+from arm_lab.arm import environment
+from arm_lab.data import load_dataset
+from arm_lab.train import TrainConfig, train
+result = train(TrainConfig(epochs=5, batch_size=64, seed=1, sampler="mrr"), load_dataset(sys.argv[1]))
+print(json.dumps({
+    "blas_core": environment()["blas_core"],
+    "history": [[entry["wa"], entry["ua"]] for entry in result["history"]],
+    "confusion": result["confusion"].counts.tolist(),
+    "state": {name: value.tolist() for name, value in result["network"].state_dict().items()},
+}))
+"""
+# largest state difference between two kernels, relative to the tensor's
+# largest magnitude: measured 4.1e-7 (Katmai), 2.7e-7 (Haswell) and 7.5e-7
+# (Nehalem) against SkylakeX
+KERNEL_STATE_TOLERANCE = 4e-6
+
+
+def replay_under(corpus: str, **blas_env: str) -> dict:
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    package_parent = str(Path(arm_lab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
+    env.update(OPENBLAS_NUM_THREADS="1", **blas_env)
+    done = subprocess.run(
+        [sys.executable, "-c", REPLAY_CHILD, corpus],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.skipif(environment()["blas_core"] is None, reason="the BLAS is not OpenBLAS")
+class TestKernelReplay:
+    """Two OpenBLAS kernels train to the same scores and nearly the same state."""
+
+    def test_prescott_kernel_scores_alike(self, tmp_path):
+        synth_dataset(str(tmp_path / "corpus"), 7, 45, extent=32, seed=1)
+        default = replay_under(str(tmp_path / "corpus"))
+        other = replay_under(str(tmp_path / "corpus"), OPENBLAS_CORETYPE="Prescott")
+        if other["blas_core"] == default["blas_core"]:
+            pytest.skip(f"the default kernel is already {default['blas_core']}")
+        assert other["history"] == default["history"]
+        assert other["confusion"] == default["confusion"]
+        assert other["state"].keys() == default["state"].keys()
+        for name, value in default["state"].items():
+            want, got = np.array(value), np.array(other["state"][name])
+            assert np.abs(got - want).max() <= KERNEL_STATE_TOLERANCE * np.abs(want).max(), name
 
 
 class TestComparativeRuns:
