@@ -293,10 +293,10 @@ def cmd_eval(args) -> int:
             raise ConfigError(
                 "checkpoint does not record its split; use --split all"
             )
-        train_part, val_part = split_index(
+        train_rows, val_rows = split_index(
             index, data_info["val_fraction"], data_info["split_seed"]
         )
-        subset = val_part if args.split == "val" else train_part
+        subset = index.subset(val_rows if args.split == "val" else train_rows)
     cm, wa, ua = evaluate(network, subset, args.batch_size)
     out = _ensure_out(args.out)
     write_confusion_csv(os.path.join(out, "confusion.csv"), cm)

@@ -344,8 +344,12 @@ def load_dataset(root) -> DatasetIndex:
 
 def split_index(
     index: DatasetIndex, val_fraction: float, seed
-) -> tuple[DatasetIndex, DatasetIndex]:
-    """Per-class train/validation split; a class of 2+ samples keeps one on each side."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class train/validation split; a class of 2+ samples keeps one on each side.
+
+    Returns the two sides as sorted int64 row ids into index and copies no
+    images; index.subset(rows) builds either side's own index.
+    """
     if not 0.0 < val_fraction < 1.0:
         raise DataError(f"val_fraction must be in (0, 1), got {val_fraction}")
     rng = np.random.default_rng(seed)
@@ -362,7 +366,4 @@ def split_index(
         train_ids.append(shuffled[n_val:])
     if not any(ids.size for ids in val_ids):
         raise DataError("validation split is empty: no class has two or more samples")
-    return (
-        index.subset(np.sort(np.concatenate(train_ids))),
-        index.subset(np.sort(np.concatenate(val_ids))),
-    )
+    return np.sort(np.concatenate(train_ids)), np.sort(np.concatenate(val_ids))

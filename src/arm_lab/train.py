@@ -168,8 +168,10 @@ def train(
     that epoch and ends the run. Returns the outcome record (epochs_run,
     diverged, halt_reason, wa, ua), also under "outcome", merged with the
     network, per-epoch history, final validation confusion matrix and
-    split indexes. When out_dir is given, a checkpoint directory is
-    written there with the outcome as its extra["result"].
+    split indexes. The training split's index carries no images (each
+    batch is gathered from index.images by row id); the validation
+    split's holds its own. When out_dir is given, a checkpoint directory
+    is written there with the outcome as its extra["result"].
 
     The validation split is scored in batches of max(config.batch_size,
     VAL_BATCH), so a small-batch run makes fewer eval forwards; the
@@ -177,7 +179,10 @@ def train(
     """
     if index.images is None:
         raise ConfigError("training needs a loaded index (images present)")
-    train_index, val_index = split_index(index, config.val_fraction, config.seed)
+    train_rows, val_rows = split_index(index, config.val_fraction, config.seed)
+    # the training side's bookkeeping only: each batch gathers its rows from index.images
+    train_index = dataclasses.replace(index, images=None).subset(train_rows)
+    val_index = index.subset(val_rows)
     if description is None:
         description = build_description(index, config)
     network = build_network(description, seed=config.seed)
@@ -196,7 +201,7 @@ def train(
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, ids.size, config.batch_size):
                     batch = ids[start : start + config.batch_size]
-                    logits, cache = network.forward(train_index.images[batch], mode="train")
+                    logits, cache = network.forward(index.images[train_rows[batch]], mode="train")
                     loss, grad_logits = softmax_cross_entropy(logits, train_index.labels[batch])
                     if not np.isfinite(loss):
                         raise TrainingDiverged("non-finite loss")

@@ -9,6 +9,8 @@ import csv
 
 import numpy as np
 
+from arm_lab.errors import DataError
+
 
 def shuffle_oracle(x: np.ndarray, ratio: int) -> np.ndarray:
     """Move element (n, c*r^2 + dy*r + dx, i, j) to (n, c, i*r + dy, j*r + dx)."""
@@ -453,3 +455,32 @@ def pgm_header_oracle(raw: bytes, path) -> np.ndarray:
     if len(payload) != width * height:
         raise ValueError(f"{path}: truncated payload")
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+
+
+def split_index_oracle(index, val_fraction: float, seed):
+    """The (train, val) indexes of a split that copies each side's images.
+
+    This is split_index's body from before it returned row ids. It builds
+    each side with DatasetIndex.subset, so a comparison checks which rows
+    each side holds and in what order.
+    """
+    if not 0.0 < val_fraction < 1.0:
+        raise DataError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    rng = np.random.default_rng(seed)
+    train_ids, val_ids = [], []
+    for name, ids in zip(index.classes, index.per_class):
+        shuffled = rng.permutation(ids)
+        n_val = max(1, int(round(val_fraction * ids.size))) if ids.size > 1 else 0
+        if ids.size > 1 and n_val == ids.size:
+            raise DataError(
+                f"val_fraction {val_fraction} leaves class {name!r} "
+                f"({ids.size} samples) no training sample"
+            )
+        val_ids.append(shuffled[:n_val])
+        train_ids.append(shuffled[n_val:])
+    if not any(ids.size for ids in val_ids):
+        raise DataError("validation split is empty: no class has two or more samples")
+    return (
+        index.subset(np.sort(np.concatenate(train_ids))),
+        index.subset(np.sort(np.concatenate(val_ids))),
+    )

@@ -5,14 +5,17 @@ and reads each original from the owner's own __dict__, so a refactor that
 moves a traced method into a base class (or a function into another module)
 breaks `bench/run.py --trace 1`. It also names each backbone conv span by the
 identity of the kernel `Tensor` it is passed, so passing anything but the
-block's own parameter renames the span. The tier-1 run collects both these
-checks and the benchmark's own smoke test, bench/test_smoke.py, which runs
-each workload end to end at toy sizes.
+block's own parameter renames the span, and it sees train()'s split only
+while train() calls split_index through its own module. The tier-1 run
+collects these checks and the benchmark's own smoke test,
+bench/test_smoke.py, which runs each workload end to end at toy sizes.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from arm_lab.data import synth_dataset
 
@@ -37,16 +40,28 @@ def test_every_trace_target_is_defined_on_its_owner():
     assert not missing, f"the tracer patches names its owners do not define: {missing}"
 
 
-def test_traced_conv_spans_keep_their_block_names(tmp_path):
-    index = synth_dataset(tmp_path / "corpus", 3, 8, extent=16, seed=0)
+@pytest.fixture(scope="module")
+def traced_train(tmp_path_factory):
+    """The spans of one traced train() call."""
+    index = synth_dataset(tmp_path_factory.mktemp("traced") / "corpus", 3, 8, extent=16, seed=0)
     # arm_lab.train is the re-exported function; the tracer patches the submodule
     train = importlib.import_module("arm_lab.train")
     config = train.TrainConfig(epochs=1, batch_size=8, backbone_widths=(4, 8))
     with load_tracing().Tracer().installed() as tracer:
         train.train(config, index)
-    conv_spans = {span.name for span in tracer.spans if span.name.startswith("tensor.conv2d_")}
+    return tracer.spans
+
+
+def test_traced_conv_spans_keep_their_block_names(traced_train):
+    conv_spans = {span.name for span in traced_train if span.name.startswith("tensor.conv2d_")}
     assert conv_spans == {
         f"tensor.conv2d_{direction}.{block}"
         for direction in ("forward", "backward")
         for block in ("block0", "block1", "weighting")
     }
+
+
+def test_train_records_its_split(traced_train):
+    """train() calls split_index through its own module, where the tracer patches it."""
+    [split] = [span for span in traced_train if span.name == "data.split_index"]
+    assert traced_train[split.parent].name == "train.train"

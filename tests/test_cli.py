@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import read_confusion_csv
+
 import arm_lab
 from arm_lab import cli
 from arm_lab.arm import build_network, save_checkpoint
@@ -18,7 +20,7 @@ from arm_lab.cli import main
 from arm_lab.data import load_dataset
 from arm_lab.erosion import perception_map
 from arm_lab.tensor import save_tensor
-from arm_lab.train import TrainConfig, build_description
+from arm_lab.train import TrainConfig, build_description, train
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -347,6 +349,13 @@ class TestEvalCommand:
         )
         assert code == 0
         assert read_manifest(out)["results"]["samples"] == 24
+        # the confusion counts train()'s training split, class by class
+        _, counts = read_confusion_csv(out / "confusion.csv")
+        config = TrainConfig(epochs=1, batch_size=16, backbone_widths=(4, 8), seed=1,
+                             sampler="mrr", val_fraction=0.25)  # TRAIN_ARGS' split
+        train_index = train(config, load_dataset(corpus))["train_index"]
+        assert counts.sum(axis=1).tolist() == train_index.counts.tolist()
+        assert counts.sum() == train_index.n_samples
 
     def test_class_mismatch_is_data_error(self, trained, corpus, tmp_path, capsys):
         other = tmp_path / "other"

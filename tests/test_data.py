@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,12 @@ from arm_lab.errors import DataError
 from arm_lab.pgm import read_pgm, write_heatmap, write_pgm
 from arm_lab.tensor import save_tensor
 
-from oracles import accuracy_oracle, pgm_header_oracle, read_confusion_csv
+from oracles import (
+    accuracy_oracle,
+    pgm_header_oracle,
+    read_confusion_csv,
+    split_index_oracle,
+)
 
 
 def label_only_index(counts, names=None):
@@ -364,15 +370,49 @@ class TestLoadDataset:
 class TestSplit:
     def test_stratified_and_deterministic(self, tmp_path):
         idx = synth_dataset(tmp_path, 3, 10, extent=8, seed=1)
-        train, val = split_index(idx, 0.2, 7)
-        assert train.counts.tolist() == [8, 8, 8]
-        assert val.counts.tolist() == [2, 2, 2]
-        train2, val2 = split_index(idx, 0.2, 7)
-        assert train2.paths == train.paths
-        assert val2.paths == val.paths
+        train_rows, val_rows = split_index(idx, 0.2, 7)
+        assert idx.subset(train_rows).counts.tolist() == [8, 8, 8]
+        assert idx.subset(val_rows).counts.tolist() == [2, 2, 2]
+        train_rows2, val_rows2 = split_index(idx, 0.2, 7)
+        assert train_rows2.tolist() == train_rows.tolist()
+        assert val_rows2.tolist() == val_rows.tolist()
         # disjoint and complete
-        assert set(train.paths) | set(val.paths) == set(idx.paths)
-        assert not set(train.paths) & set(val.paths)
+        assert set(train_rows) | set(val_rows) == set(range(idx.n_samples))
+        assert not set(train_rows) & set(val_rows)
+
+    @given(
+        counts=st.lists(st.integers(1, 12), min_size=2, max_size=6),
+        val_fraction=st.one_of(st.floats(0.01, 0.99), st.sampled_from([0.0, 1.0, 1.5])),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_select_what_the_copying_split_returned(self, counts, val_fraction, seed, order):
+        """Each side's subset equals the oracle's index byte for byte."""
+        rng = np.random.default_rng(order)
+        labels = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        idx = DatasetIndex(
+            classes=[f"class_{c}" for c in range(len(counts))],
+            paths=[f"row_{i}" for i in range(labels.size)],
+            labels=labels,
+            images=rng.random((labels.size, 1, 3, 2), dtype=np.float32),
+        )
+        try:
+            expected = split_index_oracle(idx, val_fraction, seed)
+        except DataError as exc:
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                split_index(idx, val_fraction, seed)
+            return
+        sides = split_index(idx, val_fraction, seed)
+        for rows, want in zip(sides, expected):
+            assert rows.dtype == np.int64 and np.all(np.diff(rows) > 0)
+            got = idx.subset(rows)
+            assert got.paths == want.paths
+            assert got.labels.dtype == want.labels.dtype
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert got.images.shape == want.images.shape
+            assert got.images.tobytes() == want.images.tobytes()
+        assert np.array_equal(np.sort(np.concatenate(sides)), np.arange(idx.n_samples))
 
     def test_subset_keeps_images_aligned(self, tmp_path):
         idx = synth_dataset(tmp_path, 2, 6, extent=8, seed=2)
@@ -388,9 +428,10 @@ class TestSplit:
             split_index(idx, 1.5, 0)
 
     def test_every_class_keeps_a_training_sample(self):
-        train, val = split_index(label_only_index([6, 2, 6, 1]), 0.4, 3)
-        assert train.counts.tolist() == [4, 1, 4, 1]
-        assert val.counts.tolist() == [2, 1, 2, 0]
+        idx = label_only_index([6, 2, 6, 1])
+        train_rows, val_rows = split_index(idx, 0.4, 3)
+        assert idx.subset(train_rows).counts.tolist() == [4, 1, 4, 1]
+        assert idx.subset(val_rows).counts.tolist() == [2, 1, 2, 0]
 
     def test_class_left_without_training_samples_is_named(self):
         # round(0.8 * 2) = 2 would send both of class_1's samples to validation

@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import accuracy_oracle, adam_oracle
+from gradcheck import traced_peak
+from oracles import accuracy_oracle, adam_oracle, split_index_oracle
 
 import arm_lab
-from arm_lab.arm import build_network, environment, load_checkpoint
+from arm_lab.arm import Network, build_network, environment, load_checkpoint
 from arm_lab.data import DatasetIndex, synth_dataset
 from arm_lab.errors import ConfigError, KernelTooLargeError, TrainingDiverged
 from arm_lab.tensor import Tensor, softmax_cross_entropy
@@ -185,6 +186,39 @@ class TestTrainLoop:
         per_class_val = np.bincount(val_index.labels, minlength=7)
         assert per_class_val.tolist() == [6] * 7  # 25% of 24, every class
 
+    def test_training_side_holds_no_images(self, corpus_index):
+        config = small_config(epochs=1)
+        result = train(config, corpus_index)
+        want_train, want_val = split_index_oracle(corpus_index, config.val_fraction, config.seed)
+        assert result["train_index"].images is None
+        assert result["train_index"].paths == want_train.paths
+        assert result["train_index"].counts.tolist() == want_train.counts.tolist()
+        assert result["val_index"].paths == want_val.paths
+        assert result["val_index"].images.tobytes() == want_val.images.tobytes()
+
+    def test_batches_are_the_copied_training_stacks_batches(self, corpus_index, monkeypatch):
+        """Each training forward gets the images, in order, that a copied split stack gave."""
+        seen = []
+        real_forward = Network.forward
+
+        def recording(self, images, mode="train"):
+            if mode == "train":
+                seen.append(images.copy())
+            return real_forward(self, images, mode)
+
+        monkeypatch.setattr(Network, "forward", recording)
+        config = small_config(epochs=2, batch_size=10)
+        train(config, corpus_index)
+        train_side, _ = split_index_oracle(corpus_index, config.val_fraction, config.seed)
+        want = []
+        for epoch in range(config.epochs):
+            ids = epoch_sample_ids(train_side, config, epoch)
+            want += [train_side.images[ids[start : start + config.batch_size]]
+                     for start in range(0, ids.size, config.batch_size)]
+        assert len(seen) == len(want)
+        for got, expected in zip(seen, want):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
     def test_metrics_match_confusion_recount(self, corpus_index):
         result = train(small_config(epochs=1), corpus_index)
         wa, ua = accuracy_oracle(result["confusion"].counts)
@@ -214,6 +248,28 @@ class TestTrainLoop:
         result = train(config, corpus_index, description=description)
         assert result["epochs_run"] == 1
         assert 0.0 <= result["wa"] <= 1.0
+
+
+# one train_sweep_point at sweep-small's config allocates this much at its
+# peak: measured 2.92-3.21 MB over k = 1..4, where copying the training
+# split's images into their own stack measured 5.20-5.50 MB
+SWEEP_POINT_PEAK_BYTES = 3_500_000
+
+
+@pytest.fixture(scope="module")
+def imbalanced_index(tmp_path_factory):
+    """Criterion 9's 35:1 corpus; the sweep-small benchmark trains on the same counts."""
+    root = tmp_path_factory.mktemp("imbalanced") / "corpus"
+    return synth_dataset(root, 7, [350, 175, 88, 44, 22, 11, 10], extent=32, seed=1)
+
+
+class TestRunMemory:
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4])
+    def test_a_sweep_point_peak_is_bounded(self, imbalanced_index, kernel):
+        config = TrainConfig(epochs=1, batch_size=16, lr=0.001, seed=0, sampler="mrr")
+        train_sweep_point(imbalanced_index, kernel, config)  # one-time allocations
+        peak = traced_peak(lambda: train_sweep_point(imbalanced_index, kernel, config))
+        assert peak <= SWEEP_POINT_PEAK_BYTES
 
 
 class TestDivergenceHandling:
